@@ -15,8 +15,6 @@ from .core import (
     RankMismatchError,
     Segment,
     StandardModule,
-    SteinbergFactor,
-    SteinbergKind,
     TemperedParam,
     TemperedPiece,
     ZERO_REP,
@@ -25,9 +23,9 @@ from .core import (
     hi,
     is_zero,
     make_standard_module,
-    normalize_steinberg,
     normalize_tempered,
     sign_condition_holds,
+    steinberg_product,
 )
 from .datum import (
     DatumBlock,
@@ -35,7 +33,6 @@ from .datum import (
     LadderDatum,
     LanglandsData,
     canonical_form,
-    datum_rank,
     is_canonical,
     langlands_data_of,
     standard_module_of,

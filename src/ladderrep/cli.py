@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .core import HalfInt, LadderError
+from .core import LadderError
 from .datum import LadderDatum, langlands_data_of, standard_module_of, validate_datum
 from .formula import determinantal_formula, gl_determinantal_formula, sigma_table
 from .graph import aubert_dual, build_graph, derivative, jacquet_expansion, supp_ladder
@@ -75,7 +75,7 @@ def cmd_derivative(args: argparse.Namespace) -> None:
     d = _load_datum(args.input)
     validate_datum(d)
     rho = _pick_rho(d, args.rho)
-    result = derivative(d, rho, HalfInt.parse(args.x))
+    result = derivative(d, rho, jsonio.halfint_from_json(args.x, "--x"))
     if result is None:
         _emit({"zero": True})
     else:

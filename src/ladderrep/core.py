@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Sequence, TypeVar, Union
 
 
 class LadderError(Exception):
@@ -153,13 +153,8 @@ class CuspidalLabel:
             raise LadderError(f"label {self.id!r}: d must be a positive integer")
 
 
-#: Default label used by the unipotent shorthand: the trivial character of GL(1).
-TRIVIAL_INTEGRAL = CuspidalLabel("1", 1, Parity.INTEGRAL)
-TRIVIAL_HALF = CuspidalLabel("1", 1, Parity.HALF_INTEGRAL)
-
-
 # ---------------------------------------------------------------------------
-# segments and Steinberg factors
+# segments and Steinberg products
 
 
 @dataclass(frozen=True)
@@ -195,28 +190,21 @@ class Segment:
         return (self.x.twice + self.y.twice, self.x.twice, self.rho.id, self.y.twice)
 
 
-class SteinbergKind(Enum):
-    PROPER = "proper"
-    UNIT = "unit"
-    ZERO = "zero"
+def steinberg_product(segments: Iterable[Segment]) -> tuple[Segment, ...] | ZeroRep:
+    """Normalize a product of Steinberg factors under the degeneracy conventions.
 
-
-@dataclass(frozen=True)
-class SteinbergFactor:
-    kind: SteinbergKind
-    segment: Segment | None = None
-
-
-def normalize_steinberg(seg: Segment) -> SteinbergFactor:
-    """Classify a segment under the degeneracy conventions.
-
-    Proper when x >= y, the unit factor when y = x+1, and zero when y > x+1.
+    A segment with x >= y is a proper factor and is kept, y = x+1 is the unit
+    factor and is dropped, and y > x+1 is zero and absorbs the whole product.
+    The kept factors are sorted by :meth:`Segment.sort_key`.
     """
-    if not seg.x < seg.y:
-        return SteinbergFactor(SteinbergKind.PROPER, seg)
-    if seg.y.twice == seg.x.twice + 2:
-        return SteinbergFactor(SteinbergKind.UNIT)
-    return SteinbergFactor(SteinbergKind.ZERO)
+    kept: list[Segment] = []
+    for seg in segments:
+        if seg.y.twice > seg.x.twice + 2:
+            return ZERO_REP
+        if seg.y.twice <= seg.x.twice:
+            kept.append(seg)
+    kept.sort(key=Segment.sort_key)
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -370,36 +358,46 @@ def make_standard_module(
     """Assemble a standard module, normalizing all degeneracies.
 
     Zero factors (either a zero Steinberg factor or an annihilating size-0
-    tempered piece) absorb the whole module; unit factors are dropped.  Every
-    retained segment must have x + y < 0, and the normalized tempered part
-    must satisfy the sign-product condition; violations signal an assembly
-    bug upstream and raise.
+    tempered piece) absorb the whole module, even one with an invalid
+    segment; unit factors are dropped.  Every retained segment must have
+    x + y < 0, and the normalized tempered part must satisfy the
+    sign-product condition; violations signal an assembly bug upstream and
+    raise.
     """
     temp = normalize_tempered(tempered)
     if is_zero(temp):
         return ZERO_REP
     assert isinstance(temp, TemperedParam)
-    kept: list[Segment] = []
-    for seg in segments:
-        factor = normalize_steinberg(seg)
-        if factor.kind is SteinbergKind.ZERO:
-            return ZERO_REP
-        if factor.kind is SteinbergKind.UNIT:
-            continue
-        assert factor.segment is not None
-        if factor.segment.x.twice + factor.segment.y.twice >= 0:
+    kept = steinberg_product(segments)
+    if is_zero(kept):
+        return ZERO_REP
+    for seg in kept:
+        if seg.x.twice + seg.y.twice >= 0:
             raise NotStandardModuleError(
                 f"segment [{seg.x},{seg.y}] has non-negative exponent sum"
             )
-        kept.append(factor.segment)
     if not sign_condition_holds(temp):
         raise NotStandardModuleError("tempered part violates the sign-product condition")
-    kept.sort(key=Segment.sort_key)
-    return StandardModule(tuple(kept), temp)
+    return StandardModule(kept, temp)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
 # integer combinations of standard modules
+
+
+K = TypeVar("K", bound=Hashable)
+
+
+def sum_coefficients(items: Iterable[tuple[K, int]]) -> dict[K, int]:
+    """Sum the integer coefficients of equal keys, in first-seen key order.
+
+    Keys whose coefficients cancel stay in the result with coefficient 0, so
+    a caller can still check every key it was given.
+    """
+    acc: dict[K, int] = {}
+    for key, coeff in items:
+        acc[key] = acc.get(key, 0) + coeff
+    return acc
 
 
 @dataclass(frozen=True)
@@ -413,20 +411,15 @@ class GrothendieckElement:
     terms: tuple[tuple[StandardModule, int], ...]
 
     @staticmethod
-    def zero(rank: int) -> "GrothendieckElement":
-        return GrothendieckElement(rank, ())
-
-    @staticmethod
     def from_items(
         rank: int, items: Iterable[tuple[StandardModule, int]]
     ) -> "GrothendieckElement":
-        acc: dict[StandardModule, int] = {}
-        for module, coeff in items:
+        acc = sum_coefficients(items)
+        for module in acc:
             if module.rank != rank:
                 raise RankMismatchError(
                     f"term of rank {module.rank} in an element of rank {rank}"
                 )
-            acc[module] = acc.get(module, 0) + coeff
         terms = tuple(
             sorted(((m, c) for m, c in acc.items() if c != 0), key=lambda mc: mc[0].sort_key())
         )
@@ -447,14 +440,6 @@ class GrothendieckElement:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def __add__(self, other: "GrothendieckElement") -> "GrothendieckElement":
-        return gr_combine([(1, self), (1, other)])
-
-    def __rmul__(self, coeff: int) -> "GrothendieckElement":
-        return GrothendieckElement.from_items(
-            self.rank, [(m, coeff * c) for m, c in self.terms]
-        )
 
 
 def gr_combine(

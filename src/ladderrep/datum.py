@@ -171,10 +171,6 @@ def validate_datum(d: LadderDatum) -> int:
     return n
 
 
-def datum_rank(d: LadderDatum) -> int:
-    return validate_datum(d)
-
-
 def canonical_form(d: LadderDatum) -> LadderDatum:
     """Drop the formal -1/2 middle exponent of each block, if present.
 

@@ -25,12 +25,11 @@ from .core import (
     StandardModule,
     TemperedParam,
     TemperedPiece,
-    ZERO_REP,
     ZeroRep,
     is_zero,
     make_standard_module,
-    normalize_steinberg,
-    SteinbergKind,
+    steinberg_product,
+    sum_coefficients,
     CuspidalLabel,
 )
 from .datum import DatumBlock, LadderDatum, MINUS_HALF, validate_datum
@@ -77,12 +76,15 @@ def _block_perms(block: DatumBlock) -> list[tuple[int, ...]]:
             pool = [i for i in rest if i not in zone_b]
             for tail in itertools.permutations(pool):
                 out.append(zone_a + zone_b + tail)
-    out.sort()
     return out
 
 
 def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
-    """All admissible permutation tuples, in lexicographic order."""
+    """All admissible permutation tuples, in lexicographic order.
+
+    ``itertools`` yields combinations, permutations of a sorted pool and
+    products in lexicographic order, so no sort is needed.
+    """
     per_block = [_block_perms(b) for b in d.blocks]
     out = []
     for combo in itertools.product(*per_block):
@@ -90,7 +92,6 @@ def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
         for perm in combo:
             sign *= permutation_sign(perm)
         out.append(SigmaElement(tuple(combo), sign))
-    out.sort(key=SigmaElement.sort_key)
     return out
 
 
@@ -203,38 +204,16 @@ class GLCombination:
 
     @staticmethod
     def from_items(items: Iterable[tuple[GLProduct, int]]) -> "GLCombination":
-        acc: dict[GLProduct, int] = {}
-        for product, coeff in items:
-            acc[product] = acc.get(product, 0) + coeff
         terms = tuple(
             sorted(
-                ((p, c) for p, c in acc.items() if c != 0),
+                ((p, c) for p, c in sum_coefficients(items).items() if c != 0),
                 key=lambda pc: tuple(s.sort_key() for s in pc[0]),
             )
         )
         return GLCombination(terms)
 
-    def coefficient(self, product: GLProduct) -> int:
-        for p, c in self.terms:
-            if p == product:
-                return c
-        return 0
-
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def normalize_gl_product(segments: Iterable[Segment]) -> GLProduct | ZeroRep:
-    kept = []
-    for seg in segments:
-        factor = normalize_steinberg(seg)
-        if factor.kind is SteinbergKind.ZERO:
-            return ZERO_REP
-        if factor.kind is SteinbergKind.UNIT:
-            continue
-        kept.append(factor.segment)
-    kept.sort(key=Segment.sort_key)
-    return tuple(kept)
 
 
 def gl_determinantal_formula(g: GLLadder) -> GLCombination:
@@ -242,7 +221,7 @@ def gl_determinantal_formula(g: GLLadder) -> GLCombination:
     t = g.t
     items: list[tuple[GLProduct, int]] = []
     for perm in itertools.permutations(range(t)):
-        product = normalize_gl_product(
+        product = steinberg_product(
             Segment(g.rho, g.segments[i][0], g.segments[perm[i]][1]) for i in range(t)
         )
         if is_zero(product):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment
+from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment, sum_coefficients
 from .datum import (
     DatumBlock,
     LadderDatum,
@@ -72,10 +72,11 @@ class LadderGraph:
                 yield (a, row.height)
 
     def has_vertex(self, a: HalfInt, h: int) -> bool:
-        for row in self.rows:
-            if row.height == h:
-                return not (a < row.left or row.right < a)
-        return False
+        pos = self.l - h  # build_graph lays the rows out from height l downward
+        if not 0 <= pos < len(self.rows):
+            return False
+        row = self.rows[pos]
+        return not (a < row.left or row.right < a)
 
     def color(self, a: HalfInt, h: int) -> int:
         """The coloring value in {-1, 0, +1} at an existing vertex."""
@@ -265,23 +266,13 @@ def is_supercuspidal(d: LadderDatum) -> bool:
     return all(build_graph(b).m == 0 for b in d.blocks)
 
 
-def _first_removable(d: LadderDatum) -> tuple[str, HalfInt] | None:
-    for b in d.blocks:
-        g = build_graph(b)
-        for a, h in g.minimal_vertices():
-            if g.color(a, h) == 0:
-                return (b.rho.id, a)
-    return None
-
-
 def supp_ladder(d: LadderDatum) -> SupportMultiset:
     """Cuspidal support: uncolored abscissas plus the colored core.
 
     Removing an uncolored minimal vertex contributes its abscissa and the
     partner's, and the partner involution pairs up the uncolored vertices,
     so the accumulated exponents are exactly the uncolored abscissas and the
-    core is the colored part of each graph.  The step-by-step derivative
-    route is :func:`supp_ladder_by_derivatives`, kept as a cross-check.
+    core is the colored part of each graph.
     """
     validate_datum(d)
     exponents: dict[CuspidalLabel, list[HalfInt]] = {}
@@ -302,25 +293,6 @@ def supp_ladder(d: LadderDatum) -> SupportMultiset:
     core = LadderDatum.of(d.group, core_blocks)
     validate_datum(core)
     return SupportMultiset.of(exponents, core)
-
-
-def supp_ladder_by_derivatives(d: LadderDatum) -> SupportMultiset:
-    """Cuspidal support by repeated derivatives down to the colored core."""
-    validate_datum(d)
-    exponents: dict[CuspidalLabel, list[HalfInt]] = {}
-    current = d
-    while True:
-        pick = _first_removable(current)
-        if pick is None:
-            break
-        rho_id, x = pick
-        rho = current.block(rho_id).rho
-        exponents.setdefault(rho, []).extend([x, -x])
-        step = derivative(current, rho_id, x)
-        assert step is not None
-        current = step
-    assert is_supercuspidal(current)
-    return SupportMultiset.of(exponents, current)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +371,7 @@ def jacquet_expansion(
     validate_datum(d)
     block = d.block(rho_id)
     t = block.t
-    terms: list[JacquetTerm] = []
+    pairs: list[tuple[tuple[Segment, ...], LadderDatum]] = []
     for ys in _jacquet_tuples(block):
         segs = tuple(
             Segment(block.rho, block.x(i), ys[i - 1] + 1)
@@ -408,17 +380,12 @@ def jacquet_expansion(
         )
         rest = d.replace_block(rho_id, _jacquet_block(block, ys))
         validate_datum(rest)
-        terms.append(JacquetTerm(segs, rest, 1))
+        pairs.append((segs, rest))
     if merged:
-        acc: dict[tuple, JacquetTerm] = {}
-        for term in terms:
-            key = (term.gl_segments, term.datum)
-            if key in acc:
-                old = acc[key]
-                acc[key] = JacquetTerm(old.gl_segments, old.datum, old.multiplicity + 1)
-            else:
-                acc[key] = term
-        terms = list(acc.values())
+        counts = sum_coefficients((pair, 1) for pair in pairs)
+        terms = [JacquetTerm(segs, rest, count) for (segs, rest), count in counts.items()]
+    else:
+        terms = [JacquetTerm(segs, rest, 1) for segs, rest in pairs]
     terms.sort(
         key=lambda tm: (
             tm.gl_size,

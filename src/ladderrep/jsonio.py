@@ -19,7 +19,6 @@ from .core import (
     Segment,
     StandardModule,
     TemperedParam,
-    TemperedPiece,
 )
 from .datum import DatumBlock, LadderDatum
 from .formula import GLCombination, GLLadder
@@ -37,10 +36,6 @@ def _require(data: Mapping[str, Any], key: str, context: str) -> Any:
     return data[key]
 
 
-def halfint_to_str(x: HalfInt) -> str:
-    return str(x)
-
-
 def halfint_from_json(value: Any, context: str = "half-integer") -> HalfInt:
     if isinstance(value, bool):
         raise SchemaError(f"{context}: expected a number or fraction string")
@@ -54,8 +49,20 @@ def halfint_from_json(value: Any, context: str = "half-integer") -> HalfInt:
     raise SchemaError(f"{context}: expected a number or fraction string")
 
 
+def _require_list(data: Mapping[str, Any], key: str, context: str) -> list:
+    value = _require(data, key, context)
+    if not isinstance(value, list):
+        raise SchemaError(f"{context}: {key!r} must be a list")
+    return value
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``true`` and ``1.0`` do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _sign_from_json(value: Any, context: str) -> int:
-    if value in (1, -1):
+    if _is_int(value) and value in (1, -1):
         return value
     if value in ("+", "+1"):
         return 1
@@ -85,7 +92,7 @@ def label_from_json(data: Any) -> CuspidalLabel:
     parity_text = _require(data, "parity", "label")
     for parity in Parity:
         if parity_text == parity.value:
-            if not isinstance(d, int) or d < 1:
+            if not _is_int(d) or d < 1:
                 raise SchemaError("label: d must be a positive integer")
             return CuspidalLabel(str(ident), d, parity)
     raise SchemaError(f"label: unknown parity {parity_text!r}")
@@ -93,14 +100,6 @@ def label_from_json(data: Any) -> CuspidalLabel:
 
 def segment_to_json(seg: Segment) -> dict:
     return {"rho": label_to_json(seg.rho), "x": str(seg.x), "y": str(seg.y)}
-
-
-def segment_from_json(data: Any) -> Segment:
-    return Segment(
-        label_from_json(_require(data, "rho", "segment")),
-        halfint_from_json(_require(data, "x", "segment"), "segment x"),
-        halfint_from_json(_require(data, "y", "segment"), "segment y"),
-    )
 
 
 def tempered_to_json(t: TemperedParam) -> dict:
@@ -112,35 +111,11 @@ def tempered_to_json(t: TemperedParam) -> dict:
     }
 
 
-def tempered_from_json(data: Any) -> TemperedParam:
-    group = group_from_json(_require(data, "group", "tempered parameter"))
-    pieces = []
-    for entry in _require(data, "pieces", "tempered parameter"):
-        a = _require(entry, "a", "tempered piece")
-        if not isinstance(a, int) or a < 0:
-            raise SchemaError("tempered piece: a must be a non-negative integer")
-        pieces.append(
-            TemperedPiece(
-                label_from_json(_require(entry, "rho", "tempered piece")),
-                a,
-                _sign_from_json(_require(entry, "sign", "tempered piece"), "tempered piece"),
-            )
-        )
-    return TemperedParam(group, tuple(pieces))
-
-
 def module_to_json(m: StandardModule) -> dict:
     return {
         "segments": [segment_to_json(s) for s in m.segments],
         "tempered": tempered_to_json(m.tempered),
     }
-
-
-def module_from_json(data: Any) -> StandardModule:
-    return StandardModule(
-        tuple(segment_from_json(s) for s in _require(data, "segments", "standard module")),
-        tempered_from_json(_require(data, "tempered", "standard module")),
-    )
 
 
 def element_to_json(e: GrothendieckElement) -> dict:
@@ -174,13 +149,13 @@ def datum_from_json(data: Any) -> LadderDatum:
     if "blocks" not in data and "X" in data:
         data = {"group": group.value, "blocks": [dict(data, rho=label_to_json(_shorthand_label(data)))]}
     blocks = []
-    for entry in _require(data, "blocks", "datum"):
+    for entry in _require_list(data, "blocks", "datum"):
         rho = label_from_json(_require(entry, "rho", "block"))
         exps = tuple(
-            halfint_from_json(v, "block exponent") for v in _require(entry, "X", "block")
+            halfint_from_json(v, "block exponent") for v in _require_list(entry, "X", "block")
         )
         l = _require(entry, "l", "block")
-        if not isinstance(l, int):
+        if not _is_int(l):
             raise SchemaError("block: l must be an integer")
         eta = _sign_from_json(_require(entry, "eta", "block"), "block eta")
         blocks.append(DatumBlock(rho, exps, l, eta))
@@ -188,7 +163,7 @@ def datum_from_json(data: Any) -> LadderDatum:
 
 
 def _shorthand_label(data: Mapping[str, Any]) -> CuspidalLabel:
-    exps = [halfint_from_json(v, "shorthand exponent") for v in _require(data, "X", "datum")]
+    exps = [halfint_from_json(v, "shorthand exponent") for v in _require_list(data, "X", "datum")]
     parity = Parity.INTEGRAL
     if exps and not exps[0].is_integer:
         parity = Parity.HALF_INTEGRAL
@@ -213,25 +188,24 @@ def jacquet_term_to_json(term: JacquetTerm) -> dict:
 
 
 def gl_ladder_from_json(data: Any) -> GLLadder:
-    if "rho" in data:
-        rho = label_from_json(data["rho"])
-    else:
-        first = _require(data, "segments", "ladder")
-        parity = Parity.INTEGRAL
-        if first and not halfint_from_json(first[0][0], "ladder endpoint").is_integer:
-            parity = Parity.HALF_INTEGRAL
-        rho = CuspidalLabel("1", 1, parity)
     segments = []
-    for entry in _require(data, "segments", "ladder"):
+    for entry in _require_list(data, "segments", "ladder"):
         if isinstance(entry, Mapping):
             x = halfint_from_json(_require(entry, "x", "ladder segment"), "ladder x")
             y = halfint_from_json(_require(entry, "y", "ladder segment"), "ladder y")
-        else:
-            if len(entry) != 2:
-                raise SchemaError("ladder segment: expected a pair [x, y]")
+        elif isinstance(entry, list) and len(entry) == 2:
             x = halfint_from_json(entry[0], "ladder x")
             y = halfint_from_json(entry[1], "ladder y")
+        else:
+            raise SchemaError("ladder segment: expected a pair [x, y] or an object {x, y}")
         segments.append((x, y))
+    if "rho" in data:
+        rho = label_from_json(data["rho"])
+    else:
+        parity = Parity.INTEGRAL
+        if segments and not segments[0][0].is_integer:
+            parity = Parity.HALF_INTEGRAL
+        rho = CuspidalLabel("1", 1, parity)
     return GLLadder(rho, tuple(segments))
 
 

@@ -1,5 +1,6 @@
-"""Shared test utilities: compact builders, golden-file loading, and a
-deterministic generator of random valid ladder data."""
+"""Shared test utilities: compact builders, golden-file loading, a
+deterministic generator of random valid ladder data, and reference
+implementations the engine is checked against."""
 
 from __future__ import annotations
 
@@ -11,13 +12,18 @@ from ladderrep import (
     CuspidalLabel,
     DatumBlock,
     GroupKind,
+    HalfInt,
     LadderDatum,
     Parity,
     StandardModule,
+    SupportMultiset,
     TemperedParam,
     TemperedPiece,
     Segment,
+    build_graph,
+    derivative,
     hi,
+    is_supercuspidal,
     is_zero,
     make_standard_module,
     validate_datum,
@@ -48,6 +54,17 @@ def module(group, rho, segs, temp) -> StandardModule:
     result = make_standard_module(segments, TemperedParam(group, pieces))
     assert not is_zero(result)
     return result
+
+
+def assert_has_vertex_matches_vertices(g) -> None:
+    """``has_vertex`` agrees with ``vertices`` on a box one step wider than the graph."""
+    vertices = set(g.vertices())
+    ends = [e.twice for row in g.rows for e in (row.left, row.right)]
+    heights = [row.height for row in g.rows]
+    for twice in range(min(ends) - 2, max(ends) + 3, 2):
+        for h in range(min(heights) - 1, max(heights) + 2):
+            a = HalfInt(twice)
+            assert g.has_vertex(a, h) == ((a, h) in vertices), (a, h)
 
 
 def load_golden(name: str) -> dict:
@@ -147,3 +164,35 @@ def random_datum(rng: random.Random, max_blocks: int = 2, max_t: int = 5) -> Lad
 def build_corpus(seed: int = 20260808, size: int = 240, **kwargs) -> list[LadderDatum]:
     rng = random.Random(seed)
     return [random_datum(rng, **kwargs) for _ in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def _first_removable(d: LadderDatum) -> tuple[str, HalfInt] | None:
+    for b in d.blocks:
+        g = build_graph(b)
+        for a, h in g.minimal_vertices():
+            if g.color(a, h) == 0:
+                return (b.rho.id, a)
+    return None
+
+
+def supp_ladder_by_derivatives(d: LadderDatum) -> SupportMultiset:
+    """Cuspidal support by repeated derivatives down to the colored core."""
+    validate_datum(d)
+    exponents: dict[CuspidalLabel, list[HalfInt]] = {}
+    current = d
+    while True:
+        pick = _first_removable(current)
+        if pick is None:
+            break
+        rho_id, x = pick
+        rho = current.block(rho_id).rho
+        exponents.setdefault(rho, []).extend([x, -x])
+        step = derivative(current, rho_id, x)
+        assert step is not None
+        current = step
+    assert is_supercuspidal(current)
+    return SupportMultiset.of(exponents, current)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 
 from ladderrep.cli import main
 
@@ -49,6 +50,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run_cli(capsys, "validate", str(tmp_path / "missing.json"))[0] == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta", 1.0), ("eta", True), ("l", True), ("X", None), ("X", "012")],
+)
+def test_validate_rejects_mistyped_fields(capsys, field, value):
+    code, out, err = run_cli(capsys, "validate", json.dumps(dict(DATUM, **{field: value})))
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+def test_validate_rejects_non_list_blocks(capsys):
+    code, _, err = run_cli(capsys, "validate", json.dumps({"group": "Sp", "blocks": None}))
+    assert code == 2 and "'blocks' must be a list" in err
+    label = {"id": "1", "d": True, "parity": "integral"}
+    block = {"rho": label, "X": ["0", "1", "2"], "l": 1, "eta": 1}
+    assert run_cli(capsys, "validate", json.dumps({"group": "Sp", "blocks": [block]}))[0] == 2
+
+
+@pytest.mark.parametrize("eta, expected", [("+", 0), ("+1", 0), ("-", 1), ("-1", 1)])
+def test_validate_accepts_sign_strings(capsys, eta, expected):
+    # eta -1 violates the global-sign clause for this X and l: a domain error
+    assert run_cli(capsys, "validate", json.dumps(dict(DATUM, eta=eta)))[0] == expected
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 
@@ -72,6 +96,9 @@ def test_derivative_command(capsys):
     assert data["datum"]["blocks"][0]["X"] == ["-1", "1", "2"]
     code, out, _ = run_cli(capsys, "derivative", json.dumps(DATUM), "--x", "1")
     assert json.loads(out) == {"zero": True}
+    for bad in ("abc", "1/3"):
+        code, _, err = run_cli(capsys, "derivative", json.dumps(DATUM), "--x", bad)
+        assert code == 2 and "--x" in err
 
 
 def test_supp_command(capsys):
@@ -132,6 +159,14 @@ def test_gl_det_formula(capsys):
     code, out, _ = run_cli(capsys, "gl-det-formula", json.dumps(ladder))
     data = json.loads(out)
     assert len(data["terms"]) == 2
+    objects = {"segments": [{"x": "0", "y": "0"}, {"x": "1", "y": "1"}]}
+    assert run_cli(capsys, "gl-det-formula", json.dumps(objects))[1] == out
+
+
+@pytest.mark.parametrize("segments", [5, [5], [["0"]]])
+def test_gl_det_formula_rejects_bad_segments(capsys, segments):
+    code, _, err = run_cli(capsys, "gl-det-formula", json.dumps({"segments": segments}))
+    assert code == 2 and err.startswith("input error:")
 
 
 def test_output_is_deterministic(capsys):

@@ -14,15 +14,14 @@ from ladderrep import (
     Parity,
     RankMismatchError,
     Segment,
-    SteinbergKind,
     TemperedParam,
     TemperedPiece,
     gr_combine,
     hi,
     is_zero,
     make_standard_module,
-    normalize_steinberg,
     normalize_tempered,
+    steinberg_product,
 )
 
 from helpers import HALF_LABEL, INT_LABEL, module
@@ -69,23 +68,24 @@ def test_label_requires_positive_d():
 
 def test_normalize_steinberg_proper():
     seg = Segment(INT_LABEL, hi("0"), hi("-2"))
-    assert normalize_steinberg(seg).kind is SteinbergKind.PROPER
+    assert steinberg_product([seg]) == (seg,)
 
 
 def test_normalize_steinberg_unit():
     seg = Segment(INT_LABEL, hi("-1"), hi("0"))
-    assert normalize_steinberg(seg).kind is SteinbergKind.UNIT
+    assert steinberg_product([seg]) == ()
 
 
 def test_normalize_steinberg_zero():
     seg = Segment(HALF_LABEL, hi("-3/2"), hi("1/2"))
-    assert normalize_steinberg(seg).kind is SteinbergKind.ZERO
+    assert is_zero(steinberg_product([seg]))
+    assert is_zero(steinberg_product([Segment(HALF_LABEL, hi("1/2"), hi("-1/2")), seg]))
 
 
 def test_normalize_steinberg_idempotent_on_proper():
-    seg = Segment(INT_LABEL, hi("3"), hi("-1"))
-    factor = normalize_steinberg(seg)
-    assert normalize_steinberg(factor.segment) == factor
+    segs = [Segment(INT_LABEL, hi("3"), hi("-1")), Segment(INT_LABEL, hi("0"), hi("-2"))]
+    product = steinberg_product(segs)
+    assert steinberg_product(product) == product
 
 
 def test_segment_parity_mismatch_rejected():
@@ -158,6 +158,9 @@ def test_make_standard_module_zero_segment_annihilates():
     t = _param(GroupKind.SP, [("1", 1)])
     out = make_standard_module([Segment(INT_LABEL, hi("-3"), hi("0"))], t)
     assert is_zero(out)
+    # a zero factor wins over a segment with non-negative exponent sum
+    bad = Segment(INT_LABEL, hi("2"), hi("-1"))
+    assert is_zero(make_standard_module([bad, Segment(INT_LABEL, hi("-3"), hi("0"))], t))
 
 
 def test_make_standard_module_rejects_nonnegative_sum():

@@ -16,6 +16,7 @@ from ladderrep import (
     DatumBlock,
     GroupKind,
     LadderDatum,
+    SigmaElement,
     build_graph,
     aubert_dual,
     canonical_form,
@@ -33,7 +34,7 @@ from ladderrep import (
 )
 from ladderrep.core import Parity
 
-from helpers import HALF_LABEL, INT_LABEL
+from helpers import HALF_LABEL, INT_LABEL, assert_has_vertex_matches_vertices
 
 
 def _enumerate_small(parity, window, max_t=4):
@@ -75,14 +76,18 @@ def test_graph_round_trip(small_data):
     # exact on every block whose rows are all non-empty (including the
     # formal data with a -1/2 middle exponent but intact rows); a block
     # with an empty central row parses to its reduced equivalent
+    empty_rows = 0
     for d in small_data:
         for block in d.blocks:
             g = build_graph(block)
+            assert_has_vertex_matches_vertices(g)
+            empty_rows += sum(row.is_empty for row in g.rows)
             parsed = graph_to_datum(g)
             if all(not row.is_empty for row in g.rows):
                 assert parsed == block
             else:
                 assert LadderDatum.of(d.group, [parsed]) == canonical_form(d)
+    assert empty_rows > 0
 
 
 def test_one_minimal_vertex_per_abscissa(small_data):
@@ -129,7 +134,9 @@ def test_formula_identity_and_rank(small_data):
         assert element.coefficient(standard_module_of(d)) == 1
         for m, c in element.terms:
             assert m.rank == n
-        assert len(enumerate_sigma(d)) >= 1
+        sigmas = enumerate_sigma(d)
+        assert len(sigmas) >= 1
+        assert sigmas == sorted(sigmas, key=SigmaElement.sort_key)  # the engine never sorts
 
 
 def test_jacquet_bookkeeping(small_data):

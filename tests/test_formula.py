@@ -11,6 +11,7 @@ from ladderrep import (
     GrothendieckElement,
     LadderError,
     Segment,
+    SigmaElement,
     TemperedParam,
     TemperedPiece,
     assemble_i_sigma,
@@ -24,9 +25,10 @@ from ladderrep import (
     make_standard_module,
     sign_condition_holds,
     standard_module_of,
+    steinberg_product,
     validate_datum,
 )
-from ladderrep.formula import normalize_gl_product, permutation_sign
+from ladderrep.formula import permutation_sign
 
 from helpers import HALF_LABEL, INT_LABEL, module, unipotent
 
@@ -74,6 +76,9 @@ def test_membership_count_twenty():
 
 
 def test_membership_matches_oracle(corpus):
+    for d in corpus:
+        sigmas = enumerate_sigma(d)
+        assert sigmas == sorted(sigmas, key=SigmaElement.sort_key)  # the engine never sorts
     for d in corpus[:100]:
         for block, expected in zip(d.blocks, [oracle_memberships(b) for b in d.blocks]):
             got = sorted(
@@ -330,7 +335,7 @@ def _oracle_t2(ladder):
         (1, [(x1, y1), (x2, y2)]),
         (-1, [(x1, y2), (x2, y1)]),
     ]:
-        product = normalize_gl_product(Segment(ladder.rho, x, y) for x, y in pairs)
+        product = steinberg_product(Segment(ladder.rho, x, y) for x, y in pairs)
         if not is_zero(product):
             items.append((product, coeff))
     from ladderrep.formula import GLCombination
@@ -350,7 +355,7 @@ def _oracle_t3(ladder):
     ]
     items = []
     for coeff, pairs in spec:
-        product = normalize_gl_product(Segment(ladder.rho, x, y) for x, y in pairs)
+        product = steinberg_product(Segment(ladder.rho, x, y) for x, y in pairs)
         if not is_zero(product):
             items.append((product, coeff))
     from ladderrep.formula import GLCombination

@@ -20,7 +20,14 @@ from ladderrep import (
 )
 from ladderrep.render import ascii_graph, dot_graph
 
-from helpers import HALF_LABEL, INT_LABEL, random_datum, unipotent
+from helpers import (
+    HALF_LABEL,
+    INT_LABEL,
+    assert_has_vertex_matches_vertices,
+    random_datum,
+    supp_ladder_by_derivatives,
+    unipotent,
+)
 
 
 def vertex_set(g):
@@ -124,6 +131,7 @@ def test_remark_invariants_on_corpus(corpus):
     for d in corpus:
         for block in d.blocks:
             g = build_graph(block)
+            assert_has_vertex_matches_vertices(g)
             zeros = [(a, h) for a, h in g.vertices() if g.color(a, h) == 0]
             assert len(zeros) % 2 == 0
             for a, h in zeros:
@@ -238,8 +246,6 @@ def test_supp_ladder_step_count_is_m(corpus):
 
 
 def test_supp_ladder_matches_derivative_iteration(corpus):
-    from ladderrep.graph import supp_ladder_by_derivatives
-
     for d in corpus:
         assert supp_ladder_by_derivatives(d) == supp_ladder(d)
 
