@@ -2,9 +2,9 @@
 
 Subcommands: validate, graph, derivative, supp, jacquet, aubert,
 det-formula, gl-det-formula.  Input is a JSON file path, "-" for stdin, or
-an inline JSON object.  Output is deterministic: identical inputs produce
-byte-identical output.  Exit codes: 0 success, 1 domain error (the message
-names the violated clause), 2 I/O or parse error.
+inline JSON (text starting with "{" or "[").  Output is deterministic:
+identical inputs produce byte-identical output.  Exit codes: 0 success, 1
+domain error (the message names the violated clause), 2 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .jsonio import SchemaError
 
 
 def _read_input(source: str) -> Any:
-    if source.lstrip().startswith("{"):
+    if source.lstrip().startswith(("{", "[")):
         return json.loads(source)
     if source == "-":
         return json.load(sys.stdin)
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, handler, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.add_argument("input", help="JSON file path, '-' for stdin, or an inline JSON object")
+        p.add_argument("input", help="JSON file path, '-' for stdin, or inline JSON")
         p.set_defaults(handler=handler)
         return p
 

@@ -56,9 +56,13 @@ class HalfInt:
 
     @staticmethod
     def parse(text: str) -> "HalfInt":
+        """Read an integer ``"n"`` or a fraction ``"m/2"`` with ``m`` odd."""
         s = text.strip().replace("−", "-")
         if s.endswith("/2"):
-            return HalfInt(int(s[:-2]))
+            twice = int(s[:-2])
+            if twice % 2 == 0:
+                raise ValueError(f"{text!r}: a fraction over 2 needs an odd numerator")
+            return HalfInt(twice)
         return HalfInt(2 * int(s))
 
     @property

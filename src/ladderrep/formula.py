@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     GrothendieckElement,
@@ -38,13 +38,18 @@ from .support import project_ps
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
+    """Sign of a permutation of 1..n: (-1) to the n minus its number of cycles."""
+    n = len(perm)
+    seen = [False] * (n + 1)
+    cycles = 0
+    for start in range(1, n + 1):
+        if not seen[start]:
+            cycles += 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i - 1]
+    return -1 if (n - cycles) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,42 @@ def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
     return out
 
 
+def _block_parts(
+    block: DatumBlock, perm: Sequence[int]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Read one block permutation into integer parts, exponents doubled.
+
+    Returns the segments ``(x, y)`` of the pairs kept in Langlands position,
+    the piece sizes ``(a1, a2)`` of the inverted pairs, and the middle
+    pieces ``(a, sign)``.
+    """
+    t, l, eta = block.t, block.l, block.eta
+    xs = [x.twice for x in block.exponents]
+    segments = []
+    pairs = []
+    for j in range(l):
+        low, high = perm[j], perm[t - 1 - j]
+        if low < high:
+            segments.append((xs[low - 1], -xs[high - 1]))
+        else:
+            pairs.append((xs[low - 1] + 1, xs[high - 1] + 1))
+    fixed = [(xs[perm[i] - 1] + 1, eta if (i - l) % 2 == 0 else -eta) for i in range(l, t - l)]
+    if any(min(pair) < 0 for pair in pairs) or any(a < 0 for a, _ in fixed):
+        raise AssertionError("negative piece size escaped the membership constraints")
+    return segments, pairs, fixed
+
+
+def _sign_choices(
+    pairs: list[tuple[int, int]], fixed: list[tuple[int, int]]
+) -> Iterator[list[tuple[int, int]]]:
+    """The pieces ``(a, sign)`` under each sign choice, +1 before -1 per pair."""
+    for delta in itertools.product((1, -1), repeat=len(pairs)):
+        pieces = list(fixed)
+        for (a1, a2), sign in zip(pairs, delta):
+            pieces += ((a1, sign), (a2, sign))
+        yield pieces
+
+
 def assemble_i_sigma(
     d: LadderDatum, sigma: SigmaElement
 ) -> list[StandardModule | ZeroRep]:
@@ -105,35 +146,77 @@ def assemble_i_sigma(
     summands appear as the zero sentinel.
     """
     segments: list[Segment] = []
-    fixed: list[TemperedPiece] = []
-    pairs: list[tuple[CuspidalLabel, int, int]] = []
+    choices: list[list[list[TemperedPiece]]] = []  # per block, per sign choice
     for block, perm in zip(d.blocks, sigma.perms):
-        t, l = block.t, block.l
-        for j in range(1, l + 1):
-            low, high = perm[j - 1], perm[t - j]
-            if low < high:
-                segments.append(Segment(block.rho, block.x(low), -block.x(high)))
-            else:
-                a1 = block.x(low).twice + 1
-                a2 = block.x(high).twice + 1
-                if a1 < 0 or a2 < 0:
-                    raise AssertionError("negative piece size escaped the membership constraints")
-                pairs.append((block.rho, a1, a2))
-        for i in range(l + 1, t - l + 1):
-            xi = block.x(perm[i - 1])
-            if xi.twice + 1 < 0:
-                raise AssertionError("negative piece size escaped the membership constraints")
-            fixed.append(TemperedPiece(block.rho, xi.twice + 1, (-1) ** (i - l - 1) * block.eta))
-    summands: list[StandardModule | ZeroRep] = []
-    for delta in itertools.product((1, -1), repeat=len(pairs)):
-        pieces = list(fixed)
-        for (rho, a1, a2), sign in zip(pairs, delta):
-            pieces.append(TemperedPiece(rho, a1, sign))
-            pieces.append(TemperedPiece(rho, a2, sign))
-        summands.append(
-            make_standard_module(segments, TemperedParam(d.group, tuple(pieces)))
+        rho = block.rho
+        block_segments, pairs, fixed = _block_parts(block, perm)
+        segments += (Segment(rho, HalfInt(x), HalfInt(y)) for x, y in block_segments)
+        choices.append(
+            [
+                [TemperedPiece(rho, a, sign) for a, sign in pieces]
+                for pieces in _sign_choices(pairs, fixed)
+            ]
         )
-    return summands
+    return [
+        make_standard_module(segments, TemperedParam(d.group, tuple(itertools.chain(*pieces))))
+        for pieces in itertools.product(*choices)
+    ]
+
+
+def _block_shares(block: DatumBlock) -> dict[tuple, int]:
+    """One block's shares of the summands, summed with the permutation signs.
+
+    A share is a pair (segment keys, piece keys), each sorted, in the form
+    of :meth:`StandardModule.sort_key`.  The degeneracy conventions apply:
+    a zero Steinberg factor or a size-0 piece of sign -1 leaves the summand
+    out, and unit factors and size-0 pieces of sign +1 are dropped.
+    """
+    rid = block.rho.id
+
+    def shares(perm: tuple[int, ...]) -> Iterator[tuple[tuple, int]]:
+        segments, pairs, fixed = _block_parts(block, perm)
+        if any(y > x + 2 for x, y in segments):
+            return
+        sign = permutation_sign(perm)
+        seg_keys = tuple(sorted([(x + y, x, rid, y) for x, y in segments if y <= x]))
+        for pieces in _sign_choices(pairs, fixed):
+            if (0, -1) not in pieces:
+                yield (seg_keys, tuple(sorted([(rid, a, -s) for a, s in pieces if a]))), sign
+
+    return sum_coefficients(item for perm in _block_perms(block) for item in shares(perm))
+
+
+def _join(key: tuple, share: tuple) -> tuple:
+    """The key of a product of shares over distinct labels.
+
+    Every segment and piece key names its label, so the joined key
+    determines the shares it was made from.
+    """
+    return tuple(sorted(key[0] + share[0])), tuple(sorted(key[1] + share[1]))
+
+
+def _modules_of_keys(
+    d: LadderDatum, terms: dict[tuple, int]
+) -> list[tuple[StandardModule, int]]:
+    """Build each key's module by :func:`make_standard_module`, which checks it.
+
+    Keys with equal pieces share one tempered parameter.
+    """
+    rhos = {b.rho.id: b.rho for b in d.blocks}
+    tempered: dict[tuple, TemperedParam] = {}
+    items = []
+    for (seg_keys, piece_keys), c in terms.items():
+        if piece_keys not in tempered:
+            tempered[piece_keys] = TemperedParam(
+                d.group, tuple(TemperedPiece(rhos[rid], a, -s) for rid, a, s in piece_keys)
+            )
+        module = make_standard_module(
+            [Segment(rhos[rid], HalfInt(x), HalfInt(y)) for _, x, rid, y in seg_keys],
+            tempered[piece_keys],
+        )
+        assert isinstance(module, StandardModule)
+        items.append((module, c))
+    return items
 
 
 @dataclass(frozen=True)
@@ -155,15 +238,21 @@ def sigma_table(d: LadderDatum) -> list[TableRow]:
 
 
 def determinantal_formula(d: LadderDatum, projected: bool = True) -> GrothendieckElement:
-    """Signed sum of the permutation summands, optionally support-projected."""
+    """Signed sum of the permutation summands, optionally support-projected.
+
+    The sum runs over integer sort keys instead of assembled summands.  The
+    permutation tuples are products of per-block permutations, so the sum
+    is the product of the per-block sums of shares (:func:`_block_shares`).
+    Each distinct key, coefficient 0 included, is then built once by
+    :func:`make_standard_module`, which checks it.  This equals summing
+    :func:`assemble_i_sigma` over :func:`enumerate_sigma`.
+    """
     rank = validate_datum(d)
-    items: list[tuple[StandardModule, int]] = []
-    for sigma in enumerate_sigma(d):
-        for summand in assemble_i_sigma(d, sigma):
-            if not is_zero(summand):
-                assert isinstance(summand, StandardModule)
-                items.append((summand, sigma.sign))
-    element = GrothendieckElement.from_items(rank, items)
+    terms: dict[tuple, int] = {((), ()): 1}
+    for block in d.blocks:
+        shares = _block_shares(block)
+        terms = {_join(k, share): c * s for k, c in terms.items() for share, s in shares.items()}
+    element = GrothendieckElement.from_items(rank, _modules_of_keys(d, terms))
     if projected:
         element = project_ps(supp_ladder(d), element)
     return element

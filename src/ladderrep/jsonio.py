@@ -49,6 +49,12 @@ def halfint_from_json(value: Any, context: str = "half-integer") -> HalfInt:
     raise SchemaError(f"{context}: expected a number or fraction string")
 
 
+def _require_object(data: Any, context: str) -> Mapping[str, Any]:
+    if not isinstance(data, Mapping):
+        raise SchemaError(f"{context}: expected a JSON object")
+    return data
+
+
 def _require_list(data: Mapping[str, Any], key: str, context: str) -> list:
     value = _require(data, key, context)
     if not isinstance(value, list):
@@ -145,6 +151,7 @@ def datum_to_json(d: LadderDatum) -> dict:
 
 def datum_from_json(data: Any) -> LadderDatum:
     """Accept the full schema, or the unipotent shorthand with a top-level X."""
+    data = _require_object(data, "datum")
     group = group_from_json(_require(data, "group", "datum"))
     if "blocks" not in data and "X" in data:
         data = {"group": group.value, "blocks": [dict(data, rho=label_to_json(_shorthand_label(data)))]}
@@ -188,6 +195,7 @@ def jacquet_term_to_json(term: JacquetTerm) -> dict:
 
 
 def gl_ladder_from_json(data: Any) -> GLLadder:
+    data = _require_object(data, "ladder")
     segments = []
     for entry in _require_list(data, "segments", "ladder"):
         if isinstance(entry, Mapping):

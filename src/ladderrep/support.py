@@ -154,9 +154,33 @@ def supp_standard_module(s: StandardModule) -> SupportMultiset:
     return SupportMultiset.of(exponents, tail.core)
 
 
+def _doubled(s: SupportMultiset) -> dict[CuspidalLabel, list[int]]:
+    return {rho: [v.twice for v in values] for rho, values in s.exponents}
+
+
 def project_ps(target: SupportMultiset, elem: GrothendieckElement) -> GrothendieckElement:
-    """Keep exactly the terms whose support equals the target."""
-    return GrothendieckElement.from_items(
-        elem.rank,
-        [(m, c) for m, c in elem.terms if supp_standard_module(m) == target],
-    )
+    """Keep exactly the terms whose support equals the target.
+
+    This is the filter ``supp_standard_module(m) == target``, with the
+    exponents compared as sorted doubled integers per label, and the support
+    of each distinct tempered part computed once.
+    """
+    wanted = _doubled(target)
+    tails: dict[TemperedParam, tuple[bool, dict[CuspidalLabel, list[int]]]] = {}
+    kept = []
+    for m, c in elem.terms:
+        entry = tails.get(m.tempered)
+        if entry is None:
+            tail = supp_discrete_series(m.tempered)
+            entry = tails[m.tempered] = (tail.core == target.core, _doubled(tail))
+        core_matches, tail_exponents = entry
+        if not core_matches:
+            continue
+        exponents = {rho: list(values) for rho, values in tail_exponents.items()}
+        for seg in m.segments:
+            slot = exponents.setdefault(seg.rho, [])
+            for v in range(seg.y.twice, seg.x.twice + 1, 2):
+                slot += (v, -v)
+        if {rho: sorted(values) for rho, values in exponents.items()} == wanted:
+            kept.append((m, c))
+    return GrothendieckElement(elem.rank, tuple(kept))  # a subsequence of sorted, merged terms

@@ -11,6 +11,7 @@ from pathlib import Path
 from ladderrep import (
     CuspidalLabel,
     DatumBlock,
+    GrothendieckElement,
     GroupKind,
     HalfInt,
     LadderDatum,
@@ -20,12 +21,16 @@ from ladderrep import (
     TemperedParam,
     TemperedPiece,
     Segment,
+    assemble_i_sigma,
     build_graph,
     derivative,
+    enumerate_sigma,
     hi,
     is_supercuspidal,
     is_zero,
     make_standard_module,
+    supp_ladder,
+    supp_standard_module,
     validate_datum,
 )
 
@@ -196,3 +201,26 @@ def supp_ladder_by_derivatives(d: LadderDatum) -> SupportMultiset:
         current = step
     assert is_supercuspidal(current)
     return SupportMultiset.of(exponents, current)
+
+
+def reference_expansion(d: LadderDatum, projected: bool) -> GrothendieckElement:
+    """The signed expansion summand by summand, the reference for ``determinantal_formula``.
+
+    Every permutation tuple is assembled into its summands, the nonzero ones
+    are summed by ``from_items``, and the projection keeps each term whose
+    own support equals the ladder's.
+    """
+    rank = validate_datum(d)
+    items = [
+        (summand, sigma.sign)
+        for sigma in enumerate_sigma(d)
+        for summand in assemble_i_sigma(d, sigma)
+        if not is_zero(summand)
+    ]
+    element = GrothendieckElement.from_items(rank, items)
+    if projected:
+        target = supp_ladder(d)
+        element = GrothendieckElement.from_items(
+            rank, [(m, c) for m, c in element.terms if supp_standard_module(m) == target]
+        )
+    return element

@@ -11,6 +11,18 @@ from ladderrep.cli import main
 
 DATUM = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": 1}
 BAD_ETA = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": -1}
+TWO_BLOCKS = {
+    "group": "Sp",
+    "blocks": [
+        {"rho": {"id": "a", "d": 1, "parity": "integral"}, "X": ["0", "1", "2"], "l": 1, "eta": 1},
+        {
+            "rho": {"id": "b", "d": 2, "parity": "half-integral"},
+            "X": ["1/2", "3/2", "5/2"],
+            "l": 1,
+            "eta": 1,
+        },
+    ],
+}
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +77,27 @@ def test_validate_rejects_non_list_blocks(capsys):
     label = {"id": "1", "d": True, "parity": "integral"}
     block = {"rho": label, "X": ["0", "1", "2"], "l": 1, "eta": 1}
     assert run_cli(capsys, "validate", json.dumps({"group": "Sp", "blocks": [block]}))[0] == 2
+
+
+def test_validate_rejects_non_canonical_fractions(capsys):
+    # "2/2" and "4/2" name integers; only an odd numerator may stand over 2
+    for x in (["0", "2/2", "4/2"], ["0", "1", "4/2"], ["0/2", "1", "2"]):
+        code, out, err = run_cli(capsys, "validate", json.dumps(dict(DATUM, X=x)))
+        assert code == 2 and out == "" and "bad fraction string" in err, x
+    half = {"group": "SOodd", "X": ["1/2", "3/2"], "l": 1, "eta": -1}
+    assert run_cli(capsys, "validate", json.dumps(half))[0] == 0
+
+
+@pytest.mark.parametrize("text", ["[1]", " [1]", "[]", '[{"group": "Sp"}]'])
+def test_inline_json_array_is_not_a_path(capsys, tmp_path, text):
+    code, out, err = run_cli(capsys, "validate", text)
+    assert code == 2 and out == "" and err == "input error: datum: expected a JSON object\n"
+    code, _, err = run_cli(capsys, "gl-det-formula", text)
+    assert code == 2 and err == "input error: ladder: expected a JSON object\n"
+    path = tmp_path / "list.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "det-formula", str(path))
+    assert code == 2 and err == "input error: datum: expected a JSON object\n"
 
 
 @pytest.mark.parametrize("eta, expected", [("+", 0), ("+1", 0), ("-", 1), ("-1", 1)])
@@ -176,19 +209,22 @@ def test_output_is_deterministic(capsys):
 
 
 def test_byte_identical_across_hash_seeds(tmp_path):
-    path = tmp_path / "datum.json"
-    path.write_text(json.dumps(DATUM))
-    outputs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ladderrep.cli", "det-formula", str(path)],
-            capture_output=True,
-            env=env,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    for name, datum in (("one-block", DATUM), ("two-blocks", TWO_BLOCKS)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(datum))
+        for flags in ([], ["--raw"]):
+            outputs = []
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "ladderrep.cli", "det-formula", str(path), *flags],
+                    capture_output=True,
+                    env=env,
+                    check=True,
+                )
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1], (name, flags)
+            assert len(json.loads(outputs[0])["terms"]) > 1
 
 
 def test_console_entry_point_runs():

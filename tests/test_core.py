@@ -50,6 +50,9 @@ def test_halfint_parse_forms():
     assert str(hi("-3/2")) == "-3/2"
     assert hi("2") + 1 == hi("3")
     assert hi("1/2") - 1 == hi("-1/2")
+    for text in ("4/2", "0/2", "-2/2"):
+        with pytest.raises(ValueError):
+            hi(text)
 
 
 def test_halfint_comparison_rejects_ints():

@@ -34,7 +34,12 @@ from ladderrep import (
 )
 from ladderrep.core import Parity
 
-from helpers import HALF_LABEL, INT_LABEL, assert_has_vertex_matches_vertices
+from helpers import (
+    HALF_LABEL,
+    INT_LABEL,
+    assert_has_vertex_matches_vertices,
+    reference_expansion,
+)
 
 
 def _enumerate_small(parity, window, max_t=4):
@@ -137,6 +142,12 @@ def test_formula_identity_and_rank(small_data):
         sigmas = enumerate_sigma(d)
         assert len(sigmas) >= 1
         assert sigmas == sorted(sigmas, key=SigmaElement.sort_key)  # the engine never sorts
+
+
+@pytest.mark.parametrize("projected", [True, False])
+def test_expansion_matches_reference(small_data, projected):
+    for d in small_data:
+        assert determinantal_formula(d, projected) == reference_expansion(d, projected)
 
 
 def test_jacquet_bookkeeping(small_data):
