@@ -3,8 +3,15 @@
 Subcommands: validate, graph, derivative, supp, jacquet, aubert,
 det-formula, gl-det-formula.  Input is a JSON file path, "-" for stdin, or
 inline JSON (text starting with "{" or "[").  Output is deterministic:
-identical inputs produce byte-identical output.  Exit codes: 0 success, 1
-domain error (the message names the violated clause), 2 I/O or parse error.
+identical inputs produce byte-identical output.  The JSON outputs of
+det-formula, gl-det-formula and jacquet are streamed one term at a time.
+
+Exit codes: 0 success; 1 domain error (the message names the violated
+clause); 2 I/O or parse error, reported as "input error: ..." when the input
+cannot be read, decoded or parsed, or does not fit the schema, and as
+"output error: ..." when standard output cannot be written (a closed pipe, a
+full disk); 3 internal error, any other failure, reported as
+"internal error: <type>: <message>".
 """
 
 from __future__ import annotations
@@ -22,13 +29,26 @@ from . import jsonio, render
 from .jsonio import SchemaError
 
 
+class InputError(Exception):
+    """The input could not be read, decoded as UTF-8 or parsed as JSON."""
+
+
 def _read_input(source: str) -> Any:
-    if source.lstrip().startswith(("{", "[")):
-        return json.loads(source)
-    if source == "-":
-        return json.load(sys.stdin)
-    with open(source, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if source.lstrip().startswith(("{", "[")):
+            text = source
+        elif source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        # bytes that are not UTF-8 reach argv, and stdin under a C locale, as lone surrogates
+        text.encode("utf-8")
+        return json.loads(text)
+    except RecursionError as exc:
+        raise InputError("JSON nested too deeply") from exc
+    except (OSError, ValueError) as exc:  # ValueError covers bad UTF-8, bad JSON, huge integers
+        raise InputError(str(exc)) from exc
 
 
 def _emit(data: Any) -> None:
@@ -101,7 +121,7 @@ def cmd_jacquet(args: argparse.Namespace) -> None:
         for t in terms:
             sys.stdout.write(render.render_jacquet_term(t) + "\n")
     else:
-        _emit({"terms": [jsonio.jacquet_term_to_json(t) for t in terms]})
+        jsonio.write_jacquet_terms(terms, sys.stdout)
 
 
 def cmd_aubert(args: argparse.Namespace) -> None:
@@ -129,7 +149,7 @@ def cmd_det_formula(args: argparse.Namespace) -> None:
     if args.format == "text":
         sys.stdout.write(render.render_element(element) + "\n")
     else:
-        _emit(jsonio.element_to_json(element))
+        jsonio.write_element(element, sys.stdout)
 
 
 def cmd_gl_det_formula(args: argparse.Namespace) -> None:
@@ -138,7 +158,7 @@ def cmd_gl_det_formula(args: argparse.Namespace) -> None:
     if args.format == "text":
         sys.stdout.write(render.render_gl_combination(combination) + "\n")
     else:
-        _emit(jsonio.gl_combination_to_json(combination))
+        jsonio.write_gl_combination(combination, sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,12 +212,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.handler(args)
+        sys.stdout.flush()  # a write error surfaces here, not at exit
     except LadderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, json.JSONDecodeError, OSError) as exc:
+    except (SchemaError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # reading raises InputError, so this is a failed write
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -4,11 +4,18 @@ Half-integers travel as fraction strings ("3/2", "-1", "0"), signs as the
 integers +1/-1, labels as {"id", "d", "parity"} objects.  Schema violations
 raise :class:`SchemaError`, which the command line reports as a parse
 failure (exit 2), distinct from domain validation failures (exit 1).
+
+The ``*_to_json`` builders return plain JSON values.  For the three large
+outputs (expansions, general-linear combinations and Jacquet terms),
+``write_element``, ``write_gl_combination`` and ``write_jacquet_terms``
+stream the text ``json.dumps(<x>_to_json(...), indent=2, sort_keys=True)``
+would give, one term at a time, without building the values.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Mapping, TextIO
 
 from .core import (
     CuspidalLabel,
@@ -19,6 +26,7 @@ from .core import (
     Segment,
     StandardModule,
     TemperedParam,
+    TemperedPiece,
 )
 from .datum import DatumBlock, LadderDatum
 from .formula import GLCombination, GLLadder
@@ -224,3 +232,158 @@ def gl_combination_to_json(c: GLCombination) -> dict:
             for product, coeff in c.terms
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# streaming writer for the large outputs
+
+
+def _obj(level: int, fields: Iterable[tuple[str, str]]) -> str:
+    """An object at indent ``level`` from (key, rendered value) pairs in sorted key order."""
+    pad = "\n" + "  " * (level + 1)
+    return "{" + ",".join(f'{pad}"{key}": {value}' for key, value in fields) + "\n" + "  " * level + "}"
+
+
+def _arr(level: int, items: list[str]) -> str:
+    """An array at indent ``level`` of already rendered items."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + ",".join(pad + item for item in items) + "\n" + "  " * level + "]"
+
+
+def _write_top(out: TextIO, fields: str, terms: Iterable[str]) -> None:
+    """Write the object ``{<fields>"terms": [...]}`` and a newline, one term at a time."""
+    out.write("{\n  " + fields + '"terms": [')
+    pad = "\n    "
+    for text in terms:
+        out.write(pad + text)
+        pad = ",\n    "
+    out.write("]\n}\n" if pad == "\n    " else "\n  ]\n}\n")
+
+
+class _Writer:
+    """Renders values at an indent level exactly as ``json.dumps(..., indent=2,
+    sort_keys=True)`` renders their ``*_to_json`` form.
+
+    Labels, segments, tempered pieces and exponents repeat across the terms of
+    one output, so their text is cached per indent level under keys made of
+    plain ints and strings (no dataclass is hashed).  One writer serves one
+    call, so the caches go with it.
+    """
+
+    def __init__(self) -> None:
+        self.labels: dict[tuple, str] = {}
+        self.halves: dict[int, str] = {}
+        self.segs: dict[tuple, str] = {}
+        self.pieces: dict[tuple, str] = {}
+
+    def label(self, rho: CuspidalLabel, level: int) -> str:
+        key = (rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
+        text = self.labels.get(key)
+        if text is None:
+            text = self.labels[key] = _obj(
+                level,
+                (
+                    ("d", str(rho.d)),
+                    ("id", encode_basestring_ascii(rho.id)),
+                    ("parity", encode_basestring_ascii(rho.parity.value)),
+                ),
+            )
+        return text
+
+    def half(self, x: HalfInt) -> str:
+        text = self.halves.get(x.twice)
+        if text is None:
+            text = self.halves[x.twice] = encode_basestring_ascii(str(x))
+        return text
+
+    def segment(self, seg: Segment, level: int) -> str:
+        rho = seg.rho
+        key = (seg.x.twice, seg.y.twice, rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
+        text = self.segs.get(key)
+        if text is None:
+            text = self.segs[key] = _obj(
+                level,
+                (("rho", self.label(rho, level + 1)), ("x", self.half(seg.x)), ("y", self.half(seg.y))),
+            )
+        return text
+
+    def segments(self, segs: Iterable[Segment], level: int) -> str:
+        return _arr(level, [self.segment(s, level + 1) for s in segs])
+
+    def piece(self, p: TemperedPiece, level: int) -> str:
+        rho = p.rho
+        key = (p.a, p.sign, rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
+        text = self.pieces.get(key)
+        if text is None:
+            text = self.pieces[key] = _obj(
+                level, (("a", str(p.a)), ("rho", self.label(rho, level + 1)), ("sign", str(p.sign)))
+            )
+        return text
+
+    def module(self, m: StandardModule, level: int) -> str:
+        t = m.tempered
+        tempered = _obj(
+            level + 1,
+            (
+                ("group", encode_basestring_ascii(t.group.value)),
+                ("pieces", _arr(level + 2, [self.piece(p, level + 3) for p in t.pieces])),
+            ),
+        )
+        return _obj(level, (("segments", self.segments(m.segments, level + 1)), ("tempered", tempered)))
+
+    def block(self, b: DatumBlock, level: int) -> str:
+        return _obj(
+            level,
+            (
+                ("X", _arr(level + 1, [self.half(x) for x in b.exponents])),
+                ("eta", str(b.eta)),
+                ("l", str(b.l)),
+                ("rho", self.label(b.rho, level + 1)),
+            ),
+        )
+
+    def datum(self, d: LadderDatum, level: int) -> str:
+        return _obj(
+            level,
+            (
+                ("blocks", _arr(level + 1, [self.block(b, level + 2) for b in d.blocks])),
+                ("group", encode_basestring_ascii(d.group.value)),
+            ),
+        )
+
+
+def write_element(e: GrothendieckElement, out: TextIO) -> None:
+    """Write ``element_to_json(e)`` as the command line prints it."""
+    w = _Writer()
+    terms = (_obj(2, (("coefficient", str(c)), ("module", w.module(m, 3)))) for m, c in e.terms)
+    _write_top(out, f'"rank": {e.rank},\n  ', terms)
+
+
+def write_gl_combination(c: GLCombination, out: TextIO) -> None:
+    """Write ``gl_combination_to_json(c)`` as the command line prints it."""
+    w = _Writer()
+    terms = (
+        _obj(2, (("coefficient", str(coeff)), ("product", w.segments(product, 3))))
+        for product, coeff in c.terms
+    )
+    _write_top(out, "", terms)
+
+
+def write_jacquet_terms(terms: Iterable[JacquetTerm], out: TextIO) -> None:
+    """Write ``{"terms": [jacquet_term_to_json(t) for t in terms]}`` as the command line prints it."""
+    w = _Writer()
+    texts = (
+        _obj(
+            2,
+            (
+                ("datum", w.datum(t.datum, 3)),
+                ("gl", w.segments(t.gl_segments, 3)),
+                ("gl_size", str(t.gl_size)),
+                ("multiplicity", str(t.multiplicity)),
+            ),
+        )
+        for t in terms
+    )
+    _write_top(out, "", texts)

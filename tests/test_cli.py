@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from ladderrep import cli
 from ladderrep.cli import main
 
 DATUM = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": 1}
@@ -60,6 +62,27 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run_cli(capsys, "validate", str(path))[0] == 2
     assert run_cli(capsys, "validate", json.dumps({"group": "??"}))[0] == 2
     assert run_cli(capsys, "validate", str(tmp_path / "missing.json"))[0] == 2
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": "\xff"}', "'utf-8' codec can't"),
+        (b'{"group": "Sp", "X": [' + b"9" * 5000 + b'], "l": 0, "eta": 1}', "4300 digits"),
+        (b"[" * 100_000, "JSON nested too deeply"),
+    ],
+    ids=["not-utf8", "integer-over-digit-limit", "nested-too-deeply"],
+)
+def test_undecodable_input_is_an_input_error(capsys, monkeypatch, tmp_path, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and out == "" and err.startswith("input error:") and message in err
+    for errors in ("strict", "surrogateescape"):  # stdin under a UTF-8 and under a C locale
+        stdin = io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli(capsys, "validate", "-")
+        assert code == 2 and out == "" and err.startswith("input error:") and message in err
 
 
 @pytest.mark.parametrize(
@@ -202,6 +225,46 @@ def test_gl_det_formula_rejects_bad_segments(capsys, segments):
     assert code == 2 and err.startswith("input error:")
 
 
+def test_closed_pipe_is_an_output_error():
+    # the output is far larger than a pipe's buffer, so writing fails once the reader is gone
+    datum = json.dumps({"group": "SOodd", "X": ["0", "20"], "l": 1, "eta": -1})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ladderrep.cli", "jacquet", datum],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.decode() == "output error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", ["validate", "det-formula"])
+def test_full_disk_is_an_output_error(command):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ladderrep.cli", command, json.dumps(DATUM)],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "output error: [Errno 28] No space left on device\n"
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert run_cli(capsys, "validate", json.dumps(DATUM)) == (
+        3,
+        "",
+        "internal error: RuntimeError: boom\n",
+    )
+
+
 def test_output_is_deterministic(capsys):
     first = run_cli(capsys, "det-formula", json.dumps(DATUM))
     second = run_cli(capsys, "det-formula", json.dumps(DATUM))
@@ -209,22 +272,38 @@ def test_output_is_deterministic(capsys):
 
 
 def test_byte_identical_across_hash_seeds(tmp_path):
-    for name, datum in (("one-block", DATUM), ("two-blocks", TWO_BLOCKS)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(datum))
-        for flags in ([], ["--raw"]):
-            outputs = []
-            for seed in ("0", "1"):
-                env = dict(os.environ, PYTHONHASHSEED=seed)
-                proc = subprocess.run(
-                    [sys.executable, "-m", "ladderrep.cli", "det-formula", str(path), *flags],
-                    capture_output=True,
-                    env=env,
-                    check=True,
-                )
-                outputs.append(proc.stdout)
-            assert outputs[0] == outputs[1], (name, flags)
-            assert len(json.loads(outputs[0])["terms"]) > 1
+    inputs = {
+        "one-block": DATUM,
+        "two-blocks": TWO_BLOCKS,
+        "band": {"segments": [[str(i), str(i - 2)] for i in range(4)]},
+    }
+    for name, data in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    runs = [
+        ("det-formula", name, flags)
+        for name in ("one-block", "two-blocks")
+        for flags in ([], ["--raw"])
+    ]
+    runs += [
+        ("jacquet", "one-block", []),
+        ("jacquet", "one-block", ["--raw"]),
+        ("jacquet", "two-blocks", ["--rho", "b"]),
+        ("jacquet", "two-blocks", ["--rho", "a", "--raw"]),
+        ("gl-det-formula", "band", []),
+    ]
+    for command, name, flags in runs:
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "ladderrep.cli", command, str(tmp_path / f"{name}.json"), *flags],
+                capture_output=True,
+                env=env,
+                check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], (command, name, flags)
+        assert len(json.loads(outputs[0])["terms"]) > 1
 
 
 def test_console_entry_point_runs():
