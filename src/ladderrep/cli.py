@@ -66,6 +66,8 @@ def _pick_rho(d: LadderDatum, requested: str | None) -> str:
         return requested
     if len(d.blocks) == 1:
         return d.blocks[0].rho.id
+    if not d.blocks:
+        raise LadderError("datum has no labels")
     raise LadderError("datum has several labels; pass --rho to choose one")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import (
     GrothendieckElement,
@@ -291,29 +291,62 @@ class GLCombination:
 
     terms: tuple[tuple[GLProduct, int], ...]
 
-    @staticmethod
-    def from_items(items: Iterable[tuple[GLProduct, int]]) -> "GLCombination":
-        terms = tuple(
-            sorted(
-                ((p, c) for p, c in sum_coefficients(items).items() if c != 0),
-                key=lambda pc: tuple(s.sort_key() for s in pc[0]),
-            )
-        )
-        return GLCombination(terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
 
 def gl_determinantal_formula(g: GLLadder) -> GLCombination:
-    """Alternating sum over all permutations of the lower endpoints."""
+    """Alternating sum over the permutations of the lower endpoints.
+
+    Only the permutations whose every factor ``[x_i, y_j]`` is nonzero are
+    walked.  The ``y_j`` strictly increase, so the columns row ``i`` may
+    take form a prefix, and the sign is counted as inversions against the
+    columns already used.  Pruning gives the full alternating sum because
+    nothing cancels: the ``x_i`` and the ``y_j`` strictly increase, so a
+    product's kept factors name their rows and columns, and each remaining
+    row, a unit factor ``[x_i, x_i + 1]``, names its column; a product
+    comes from one permutation only.  Products are merged and sorted under
+    integer keys in :meth:`Segment.sort_key` order, and each is then built
+    once by :func:`steinberg_product`.
+    """
     t = g.t
-    items: list[tuple[GLProduct, int]] = []
-    for perm in itertools.permutations(range(t)):
-        product = steinberg_product(
-            Segment(g.rho, g.segments[i][0], g.segments[perm[i]][1]) for i in range(t)
+    factors = [[Segment(g.rho, x, y) for _, y in g.segments] for x, _ in g.segments]
+    # per row, each factor before the first zero one: its sort key, or None for a unit
+    keys: list[list[tuple[int, int, int] | None]] = []
+    for row in factors:
+        keys.append([])
+        for f in row:
+            kept = steinberg_product((f,))
+            if is_zero(kept):
+                break
+            keys[-1].append((f.x.twice + f.y.twice, f.x.twice, f.y.twice) if kept else None)
+    # the prefixes grow with i, so rows 0..i need i + 1 columns among row i's prefix
+    if any(len(row) <= i for i, row in enumerate(keys)):
+        return GLCombination(())
+    segment_of = {k: f for row, krow in zip(factors, keys) for f, k in zip(row, krow) if k}
+    used = [False] * t
+    chosen: list[tuple[int, int, int]] = []
+
+    def walk(i: int, sign: int) -> Iterator[tuple[tuple, int]]:
+        if i == t:
+            yield tuple(sorted(chosen)), sign
+            return
+        for j, key in enumerate(keys[i]):
+            if used[j]:
+                continue
+            used[j] = True
+            if key:
+                chosen.append(key)
+            yield from walk(i + 1, -sign if sum(used[j + 1 :]) % 2 else sign)
+            if key:
+                chosen.pop()
+            used[j] = False
+
+    terms = sum_coefficients(walk(0, 1))
+    return GLCombination(
+        tuple(
+            (steinberg_product(segment_of[k] for k in key), c)  # type: ignore[misc]
+            for key, c in sorted(terms.items())
+            if c != 0
         )
-        if is_zero(product):
-            continue
-        items.append((product, permutation_sign([p + 1 for p in perm])))  # type: ignore[arg-type]
-    return GLCombination.from_items(items)
+    )

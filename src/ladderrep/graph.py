@@ -312,49 +312,53 @@ class JacquetTerm:
         return sum(s.rho.d * s.length for s in self.gl_segments)
 
 
-def _jacquet_tuples(block: DatumBlock) -> Iterator[tuple[HalfInt, ...]]:
+def _jacquet_tuples(block: DatumBlock) -> Iterator[tuple[int, ...]]:
+    """The admissible exponent drops y of a block, as doubled integers."""
     t, l = block.t, block.l
+    xs = [x.twice for x in block.exponents]
     integral = block.rho.parity is Parity.INTEGRAL
-    chosen: list[HalfInt] = []
+    chosen: list[int] = []
 
-    def bounds(i: int) -> tuple[int, int]:
-        lo = -block.x(t - i + 1).twice - 2
-        hi_ = block.x(i).twice
-        if l + 1 <= i <= t - l:
-            mid = 2 * (i - l - 1) if integral else 2 * (i - l - 1) - block.eta
-            lo = max(lo, mid)
-        if i > t - l:
-            lo = max(lo, -2 - chosen[t - i].twice)
-        if chosen:
-            lo = max(lo, chosen[-1].twice + 2)
-        return lo, hi_
-
-    def rec(i: int) -> Iterator[tuple[HalfInt, ...]]:
-        if i > t:
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i == t:
             yield tuple(chosen)
             return
-        lo, hi_ = bounds(i)
-        start = lo if (lo - block.x(i).twice) % 2 == 0 else lo + 1
-        for tw in range(start, hi_ + 1, 2):
-            chosen.append(HalfInt(tw))
+        lo = -xs[t - 1 - i] - 2
+        if l <= i < t - l:
+            lo = max(lo, 2 * (i - l) if integral else 2 * (i - l) - block.eta)
+        if i >= t - l:
+            lo = max(lo, -2 - chosen[t - 1 - i])
+        if chosen:
+            lo = max(lo, chosen[-1] + 2)
+        start = lo if (lo - xs[i]) % 2 == 0 else lo + 1
+        for y in range(start, xs[i] + 1, 2):
+            chosen.append(y)
             yield from rec(i + 1)
             chosen.pop()
 
-    yield from rec(1)
+    yield from rec(0)
 
 
-def _jacquet_block(block: DatumBlock, ys: tuple[HalfInt, ...]) -> DatumBlock:
+def _jacquet_keys(block: DatumBlock) -> Iterator[tuple[tuple, tuple]]:
+    """Each drop's GL segments ``(x, y)`` and rest block ``(kept, l, eta)``, doubled.
+
+    The GL segments are ``[x_i, y_i + 1]`` with unit factors omitted; the
+    rest keeps the exponents with non-negative partner sum and loses one
+    pair for each outer partner sum of -1.
+    """
     t, l = block.t, block.l
-    kept = [ys[i - 1] for i in range(1, t + 1) if ys[i - 1].twice + ys[t - i].twice >= 0]
-    drops = sum(1 for i in range(1, l + 1) if ys[i - 1].twice + ys[t - i].twice == -2)
-    new_l = l - drops
-    if not kept:
-        eta = 1
-    elif 2 * new_l == len(kept):
-        eta = -1
-    else:
-        eta = block.eta
-    return DatumBlock(block.rho, tuple(kept), new_l, eta)
+    xs = [x.twice for x in block.exponents]
+    for ys in _jacquet_tuples(block):
+        segments = tuple((x, y + 2) for x, y in zip(xs, ys) if y < x)
+        kept = tuple(y for y, partner in zip(ys, reversed(ys)) if y + partner >= 0)
+        new_l = l - sum(1 for i in range(l) if ys[i] + ys[t - 1 - i] == -2)
+        if not kept:
+            eta = 1
+        elif 2 * new_l == len(kept):
+            eta = -1
+        else:
+            eta = block.eta
+        yield segments, (kept, new_l, eta)
 
 
 def jacquet_expansion(
@@ -365,35 +369,47 @@ def jacquet_expansion(
     Each admissible exponent drop y of the block produces a GL ladder (the
     segments [x_i, y_i + 1], unit factors omitted) tensored with the datum
     whose block keeps the exponents with non-negative partner sum.  Terms
-    are merged into multiplicities unless ``merged`` is false, and sorted by
-    GL size, then canonically.
+    are merged into multiplicities as the drops are walked, under doubled
+    integer keys, unless ``merged`` is false; they are sorted by GL size,
+    then canonically.  Each distinct rest datum is built and validated
+    once, and each distinct segment is built once.
     """
     validate_datum(d)
     block = d.block(rho_id)
-    t = block.t
-    pairs: list[tuple[tuple[Segment, ...], LadderDatum]] = []
-    for ys in _jacquet_tuples(block):
-        segs = tuple(
-            Segment(block.rho, block.x(i), ys[i - 1] + 1)
-            for i in range(1, t + 1)
-            if ys[i - 1] < block.x(i)
-        )
-        rest = d.replace_block(rho_id, _jacquet_block(block, ys))
-        validate_datum(rest)
-        pairs.append((segs, rest))
+    rho = block.rho
+    keyed = ((key, 1) for key in _jacquet_keys(block))
     if merged:
-        counts = sum_coefficients((pair, 1) for pair in pairs)
-        terms = [JacquetTerm(segs, rest, count) for (segs, rest), count in counts.items()]
+        # popping frees each key once its term is built; merged terms have
+        # distinct sort keys, so the order they are popped in does not matter
+        counts = sum_coefficients(keyed)
+        items = (counts.popitem() for _ in range(len(counts)))
     else:
-        terms = [JacquetTerm(segs, rest, 1) for segs, rest in pairs]
-    terms.sort(
-        key=lambda tm: (
-            tm.gl_size,
-            tuple(s.sort_key() for s in tm.gl_segments),
-            tm.datum.sort_key(),
+        items = keyed
+    segments: dict[tuple[int, int], Segment] = {}
+    rests: dict[tuple, tuple[LadderDatum, tuple]] = {}
+    ordered = []
+    for (seg_keys, rest_key), count in items:
+        if rest_key not in rests:
+            kept, new_l, eta = rest_key
+            rest = d.replace_block(
+                rho_id, DatumBlock(rho, tuple(HalfInt(y) for y in kept), new_l, eta)
+            )
+            validate_datum(rest)
+            rests[rest_key] = rest, rest.sort_key()
+        for xy in seg_keys:
+            if xy not in segments:
+                segments[xy] = Segment(rho, HalfInt(xy[0]), HalfInt(xy[1]))
+        rest, rest_sort = rests[rest_key]
+        sort_key = (
+            rho.d * sum((x - y) // 2 + 1 for x, y in seg_keys),  # the GL size
+            # the segments' sort keys (one label), flattened: same order, fewer tuples
+            tuple(k for x, y in seg_keys for k in (x + y, x, y)),
+            rest_sort,
         )
-    )
-    return terms
+        term = JacquetTerm(tuple(segments[xy] for xy in seg_keys), rest, count)
+        ordered.append((sort_key, term))
+    ordered.sort(key=lambda pair: pair[0])
+    return [term for _, term in ordered]
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,21 @@ implementations the engine is checked against."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from ladderrep import (
     CuspidalLabel,
     DatumBlock,
+    GLCombination,
+    GLLadder,
     GrothendieckElement,
     GroupKind,
     HalfInt,
+    JacquetTerm,
     LadderDatum,
     Parity,
     StandardModule,
@@ -29,10 +34,13 @@ from ladderrep import (
     is_supercuspidal,
     is_zero,
     make_standard_module,
+    steinberg_product,
     supp_ladder,
     supp_standard_module,
     validate_datum,
 )
+from ladderrep.core import sum_coefficients
+from ladderrep.formula import permutation_sign
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -224,3 +232,107 @@ def reference_expansion(d: LadderDatum, projected: bool) -> GrothendieckElement:
             rank, [(m, c) for m, c in element.terms if supp_standard_module(m) == target]
         )
     return element
+
+
+def gl_combination_from_items(items: Iterable[tuple[tuple[Segment, ...], int]]) -> GLCombination:
+    """Merge equal products, drop zero coefficients, sort by the factors' sort keys."""
+    terms = tuple(
+        sorted(
+            ((p, c) for p, c in sum_coefficients(items).items() if c != 0),
+            key=lambda pc: tuple(s.sort_key() for s in pc[0]),
+        )
+    )
+    return GLCombination(terms)
+
+
+def reference_gl_expansion(g: GLLadder) -> GLCombination:
+    """The alternating sum over all ``t!`` permutations, the reference for
+    ``gl_determinantal_formula``."""
+    t = g.t
+    items = []
+    for perm in itertools.permutations(range(t)):
+        product = steinberg_product(
+            Segment(g.rho, g.segments[i][0], g.segments[perm[i]][1]) for i in range(t)
+        )
+        if is_zero(product):
+            continue
+        items.append((product, permutation_sign([p + 1 for p in perm])))
+    return gl_combination_from_items(items)
+
+
+def _reference_jacquet_tuples(block: DatumBlock) -> Iterator[tuple[HalfInt, ...]]:
+    t, l = block.t, block.l
+    integral = block.rho.parity is Parity.INTEGRAL
+    chosen: list[HalfInt] = []
+
+    def bounds(i: int) -> tuple[int, int]:
+        lo = -block.x(t - i + 1).twice - 2
+        hi_ = block.x(i).twice
+        if l + 1 <= i <= t - l:
+            mid = 2 * (i - l - 1) if integral else 2 * (i - l - 1) - block.eta
+            lo = max(lo, mid)
+        if i > t - l:
+            lo = max(lo, -2 - chosen[t - i].twice)
+        if chosen:
+            lo = max(lo, chosen[-1].twice + 2)
+        return lo, hi_
+
+    def rec(i: int) -> Iterator[tuple[HalfInt, ...]]:
+        if i > t:
+            yield tuple(chosen)
+            return
+        lo, hi_ = bounds(i)
+        start = lo if (lo - block.x(i).twice) % 2 == 0 else lo + 1
+        for tw in range(start, hi_ + 1, 2):
+            chosen.append(HalfInt(tw))
+            yield from rec(i + 1)
+            chosen.pop()
+
+    yield from rec(1)
+
+
+def _reference_jacquet_block(block: DatumBlock, ys: tuple[HalfInt, ...]) -> DatumBlock:
+    t, l = block.t, block.l
+    kept = [ys[i - 1] for i in range(1, t + 1) if ys[i - 1].twice + ys[t - i].twice >= 0]
+    drops = sum(1 for i in range(1, l + 1) if ys[i - 1].twice + ys[t - i].twice == -2)
+    new_l = l - drops
+    if not kept:
+        eta = 1
+    elif 2 * new_l == len(kept):
+        eta = -1
+    else:
+        eta = block.eta
+    return DatumBlock(block.rho, tuple(kept), new_l, eta)
+
+
+def reference_jacquet_expansion(
+    d: LadderDatum, rho_id: str, merged: bool = True
+) -> list[JacquetTerm]:
+    """The Jacquet summands tuple by tuple in half-integers, the reference for
+    ``jacquet_expansion``: every tuple builds its own segments and datum."""
+    validate_datum(d)
+    block = d.block(rho_id)
+    t = block.t
+    pairs = []
+    for ys in _reference_jacquet_tuples(block):
+        segs = tuple(
+            Segment(block.rho, block.x(i), ys[i - 1] + 1)
+            for i in range(1, t + 1)
+            if ys[i - 1] < block.x(i)
+        )
+        rest = d.replace_block(rho_id, _reference_jacquet_block(block, ys))
+        validate_datum(rest)
+        pairs.append((segs, rest))
+    if merged:
+        counts = sum_coefficients((pair, 1) for pair in pairs)
+        terms = [JacquetTerm(segs, rest, count) for (segs, rest), count in counts.items()]
+    else:
+        terms = [JacquetTerm(segs, rest, 1) for segs, rest in pairs]
+    terms.sort(
+        key=lambda tm: (
+            tm.gl_size,
+            tuple(s.sort_key() for s in tm.gl_segments),
+            tm.datum.sort_key(),
+        )
+    )
+    return terms

@@ -210,6 +210,15 @@ def test_jacquet_raw_flag_and_text(capsys):
     assert "core" in text
 
 
+def test_label_choice_names_what_is_wrong(capsys):
+    empty = json.dumps({"group": "SOodd", "blocks": []})  # a valid datum of rank 0
+    two = json.dumps(TWO_BLOCKS)
+    for datum, message in ((empty, "has no labels"), (two, "has several labels")):
+        for argv in (["jacquet", datum], ["derivative", datum, "--x", "0"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == "" and message in err, (argv, err)
+
+
 def test_gl_det_formula(capsys):
     ladder = {"segments": [["0", "0"], ["1", "1"]]}
     code, out, _ = run_cli(capsys, "gl-det-formula", json.dumps(ladder))

@@ -11,6 +11,7 @@ from ladderrep import (
     GrothendieckElement,
     HalfInt,
     LadderError,
+    Parity,
     Segment,
     SigmaElement,
     TemperedParam,
@@ -31,7 +32,15 @@ from ladderrep import (
 )
 from ladderrep.formula import permutation_sign
 
-from helpers import HALF_LABEL, INT_LABEL, module, reference_expansion, unipotent
+from helpers import (
+    HALF_LABEL,
+    INT_LABEL,
+    gl_combination_from_items,
+    module,
+    reference_expansion,
+    reference_gl_expansion,
+    unipotent,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +351,7 @@ def _oracle_t2(ladder):
         product = steinberg_product(Segment(ladder.rho, x, y) for x, y in pairs)
         if not is_zero(product):
             items.append((product, coeff))
-    from ladderrep.formula import GLCombination
-
-    return GLCombination.from_items(items)
+    return gl_combination_from_items(items)
 
 
 def _oracle_t3(ladder):
@@ -362,9 +369,7 @@ def _oracle_t3(ladder):
         product = steinberg_product(Segment(ladder.rho, x, y) for x, y in pairs)
         if not is_zero(product):
             items.append((product, coeff))
-    from ladderrep.formula import GLCombination
-
-    return GLCombination.from_items(items)
+    return gl_combination_from_items(items)
 
 
 def _random_gl_ladder(rng, t):
@@ -387,3 +392,34 @@ def test_gl_matches_hand_expansions():
         ladder = _random_gl_ladder(rng, t)
         oracle = _oracle_t2(ladder) if t == 2 else _oracle_t3(ladder)
         assert gl_determinantal_formula(ladder) == oracle
+
+
+def _gl_band(rho, t):
+    """The band ladder [i, i-2], i = 0..t-1, shifted into the label's parity class."""
+    shift = 0 if rho.parity is Parity.INTEGRAL else 1
+    return GLLadder(
+        rho, tuple((HalfInt(2 * i + shift), HalfInt(2 * i - 4 + shift)) for i in range(t))
+    )
+
+
+# every permutation has a zero factor: the first row has no column, or the
+# first two rows share one
+EMPTY_GL_LADDERS = [
+    gl([("0", "3")]),
+    gl([("0", "-1"), ("1", "3")]),
+    gl([("-2", "-2"), ("0", "3"), ("1", "4")]),
+]
+
+
+def test_gl_matches_reference():
+    rng = random.Random(5151)
+    ladders = [_random_gl_ladder(rng, rng.randint(1, 7)) for _ in range(300)]
+    ladders += [_gl_band(rho, t) for rho in (INT_LABEL, HALF_LABEL) for t in range(1, 9)]
+    empty = 0
+    for ladder in ladders + EMPTY_GL_LADDERS:
+        out = gl_determinantal_formula(ladder)
+        assert out == reference_gl_expansion(ladder)
+        empty += not out.terms
+    assert empty > len(EMPTY_GL_LADDERS)
+    for ladder in EMPTY_GL_LADDERS:
+        assert gl_determinantal_formula(ladder).terms == ()

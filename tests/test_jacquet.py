@@ -12,7 +12,8 @@ from ladderrep import (
     validate_datum,
 )
 
-from helpers import unipotent
+from helpers import reference_jacquet_expansion, unipotent
+from test_jsonio import _data
 
 
 def gl_profile(term):
@@ -127,3 +128,12 @@ def test_multiplicities_stay_one(corpus):
         for block in d.blocks:
             for term in jacquet_expansion(d, block.rho.id):
                 assert term.multiplicity == 1
+
+
+@pytest.mark.parametrize("merged", [True, False], ids=["merged", "raw"])
+def test_expansion_matches_reference(corpus, merged):
+    # the corpus, the exhaustive small sweep and the golden data, along every label
+    for d in _data(corpus):
+        for block in d.blocks:
+            expected = reference_jacquet_expansion(d, block.rho.id, merged)
+            assert jacquet_expansion(d, block.rho.id, merged) == expected

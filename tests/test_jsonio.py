@@ -10,10 +10,8 @@ from ladderrep import (
     CuspidalLabel,
     DatumBlock,
     GLCombination,
-    GLLadder,
     GrothendieckElement,
     GroupKind,
-    HalfInt,
     LadderDatum,
     Parity,
     determinantal_formula,
@@ -25,7 +23,7 @@ from ladderrep import jsonio
 
 from helpers import HALF_LABEL, INT_LABEL, golden_datum, load_golden
 from test_exhaustive_small import HALF_WINDOW, INTEGRAL_WINDOW, _enumerate_small
-from test_formula import _random_gl_ladder
+from test_formula import _gl_band, _random_gl_ladder
 from test_golden_tables import GOLDEN_FILES
 
 ESCAPED = CuspidalLabel('ρ"\\x', 1, Parity.INTEGRAL)  # needs escaping as a JSON string
@@ -55,9 +53,7 @@ def _gl_combinations(corpus):
     for _ in range(60):
         yield gl_determinantal_formula(_random_gl_ladder(rng, rng.randint(1, 5)))
     for rho in (INT_LABEL, HALF_LABEL, ESCAPED):
-        shift = 0 if rho.parity is Parity.INTEGRAL else 1
-        band = tuple((HalfInt(2 * i + shift), HalfInt(2 * i - 4 + shift)) for i in range(4))
-        yield gl_determinantal_formula(GLLadder(rho, band))
+        yield gl_determinantal_formula(_gl_band(rho, 4))
     yield GLCombination(())
 
 
