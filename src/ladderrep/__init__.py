@@ -19,7 +19,6 @@ from .core import (
     TemperedPiece,
     ZERO_REP,
     ZeroRep,
-    gr_combine,
     hi,
     is_zero,
     make_standard_module,
@@ -56,7 +55,6 @@ from .support import (
     UnsupportedParameterError,
     project_ps,
     supp_discrete_series,
-    supp_standard_module,
 )
 from .formula import (
     GLCombination,

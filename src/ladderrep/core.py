@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 
 class LadderError(Exception):
@@ -92,6 +92,8 @@ class HalfInt:
 
     def __rsub__(self, other: Union["HalfInt", int]) -> "HalfInt":
         o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented  # type: ignore[return-value]
         return HalfInt(o.twice - self.twice)
 
     def __neg__(self) -> "HalfInt":
@@ -127,7 +129,11 @@ class Parity(Enum):
     HALF_INTEGRAL = "half-integral"
 
     def matches(self, x: HalfInt) -> bool:
-        return x.is_integer == (self is Parity.INTEGRAL)
+        return self.matches_twice(x.twice)
+
+    def matches_twice(self, twice: int) -> bool:
+        """Whether the exponent ``twice / 2`` lies in this class."""
+        return (twice % 2 == 0) == (self is Parity.INTEGRAL)
 
 
 class GroupKind(Enum):
@@ -161,6 +167,14 @@ class CuspidalLabel:
 # segments and Steinberg products
 
 
+def _check_segment(rho: CuspidalLabel, x: int, y: int) -> None:
+    """Both doubled endpoints of a segment lie in its label's parity class."""
+    if not (rho.parity.matches_twice(x) and rho.parity.matches_twice(y)):
+        raise InvalidSegmentError(
+            f"segment [{HalfInt(x)},{HalfInt(y)}] does not match the parity of label {rho.id!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Segment:
     """The exponent interval [x, x-1, ..., y] attached to a label.
@@ -174,10 +188,7 @@ class Segment:
     y: HalfInt
 
     def __post_init__(self) -> None:
-        if not (self.rho.parity.matches(self.x) and self.rho.parity.matches(self.y)):
-            raise InvalidSegmentError(
-                f"segment [{self.x},{self.y}] does not match the parity of label {self.rho.id!r}"
-            )
+        _check_segment(self.rho, self.x.twice, self.y.twice)
 
     @property
     def length(self) -> int:
@@ -215,6 +226,35 @@ def steinberg_product(segments: Iterable[Segment]) -> tuple[Segment, ...] | Zero
 # tempered parameters
 
 
+def _check_piece(rho: CuspidalLabel, a: int, sign: int) -> None:
+    """A piece has a size a >= 0, a sign +-1, and its exponent (a-1)/2 lies in
+    the label's parity class."""
+    if a < 0:
+        raise LadderError("tempered piece with negative SL(2) size")
+    if sign not in (1, -1):
+        raise LadderError("tempered piece sign must be +1 or -1")
+    if not rho.parity.matches_twice(a - 1):
+        raise LadderError(f"piece of size {a} does not match the parity of label {rho.id!r}")
+
+
+def _check_pieces(group: GroupKind, pieces: Sequence[tuple[CuspidalLabel, int, int]]) -> int:
+    """Pieces ``(label, size, sign)``, in :meth:`TemperedPiece.sort_key` order:
+    those with equal (label, size) carry equal signs, and their dimension has
+    the group's parity.  Returns the dimension."""
+    dimension = 0
+    previous = None
+    for rho, a, sign in pieces:
+        if previous is not None and previous[:2] == (rho.id, a) and previous[2] != sign:
+            raise LadderError(f"pieces with equal (label, size) {previous[:2]} carry opposite signs")
+        previous = (rho.id, a, sign)
+        dimension += rho.d * a
+    if dimension % 2 != group.dimension_parity:
+        raise LadderError(
+            f"parameter dimension {dimension} has the wrong parity for {group.value}"
+        )
+    return dimension
+
+
 @dataclass(frozen=True)
 class TemperedPiece:
     """One summand of a tempered parameter: label, SL(2) size a, sign.
@@ -229,14 +269,7 @@ class TemperedPiece:
     sign: int
 
     def __post_init__(self) -> None:
-        if self.a < 0:
-            raise LadderError("tempered piece with negative SL(2) size")
-        if self.sign not in (1, -1):
-            raise LadderError("tempered piece sign must be +1 or -1")
-        if not self.rho.parity.matches(HalfInt(self.a - 1)):
-            raise LadderError(
-                f"piece of size {self.a} does not match the parity of label {self.rho.id!r}"
-            )
+        _check_piece(self.rho, self.a, self.sign)
 
     @property
     def exponent(self) -> HalfInt:
@@ -262,15 +295,7 @@ class TemperedParam:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=TemperedPiece.sort_key)))
-        seen: dict[tuple[str, int], int] = {}
-        for p in self.pieces:
-            key = (p.rho.id, p.a)
-            if seen.setdefault(key, p.sign) != p.sign:
-                raise LadderError(f"pieces with equal (label, size) {key} carry opposite signs")
-        if self.dimension % 2 != self.group.dimension_parity:
-            raise LadderError(
-                f"parameter dimension {self.dimension} has the wrong parity for {self.group.value}"
-            )
+        _check_pieces(self.group, [(p.rho, p.a, p.sign) for p in self.pieces])
 
     @property
     def dimension(self) -> int:
@@ -356,6 +381,49 @@ class StandardModule:
         return (tuple(s.sort_key() for s in self.segments), self.tempered.sort_key())
 
 
+# The key of a standard module, :meth:`StandardModule.sort_key` in doubled
+# integers: its segments ``(x + y, x, label id, y)`` and its pieces
+# ``(label id, a, -sign)``, each sorted.
+ModuleKey = tuple[tuple[tuple[int, int, str, int], ...], tuple[tuple[str, int, int], ...]]
+
+
+def check_module_key(
+    group: GroupKind, labels: Mapping[str, CuspidalLabel], key: ModuleKey, rank: int | None = None
+) -> int:
+    """Run every assembly check on the key of a normalized module; return its rank.
+
+    The key names proper segments and pieces of positive size, its labels
+    looked up by id in ``labels``.  The clauses, in the order construction
+    meets them: each piece is well formed, equal (label, size) pieces carry
+    equal signs, the dimension has the group's parity, the segments match
+    their labels' parity, every segment has x + y < 0, the sign product is
+    +1, and, when ``rank`` is given, the module has that rank.
+    """
+    seg_keys, piece_keys = key
+    pieces = [(labels[rid], a, -neg) for rid, a, neg in piece_keys]
+    for piece in pieces:
+        _check_piece(*piece)
+    n = (_check_pieces(group, pieces) - group.dimension_parity) // 2
+    for _, x, rid, y in seg_keys:
+        _check_segment(labels[rid], x, y)
+    for total, x, rid, y in seg_keys:
+        if total >= 0:
+            raise NotStandardModuleError(
+                f"segment [{HalfInt(x)},{HalfInt(y)}] has non-negative exponent sum"
+            )
+        n += labels[rid].d * ((x - y) // 2 + 1)
+    if sum(1 for _, a, sign in pieces if a >= 1 and sign < 0) % 2:
+        raise NotStandardModuleError("tempered part violates the sign-product condition")
+    if rank is not None:
+        _check_rank(n, rank)
+    return n
+
+
+def _check_rank(term_rank: int, rank: int) -> None:
+    if term_rank != rank:
+        raise RankMismatchError(f"term of rank {term_rank} in an element of rank {rank}")
+
+
 def make_standard_module(
     segments: Iterable[Segment], tempered: TemperedParam
 ) -> StandardModule | ZeroRep:
@@ -363,10 +431,10 @@ def make_standard_module(
 
     Zero factors (either a zero Steinberg factor or an annihilating size-0
     tempered piece) absorb the whole module, even one with an invalid
-    segment; unit factors are dropped.  Every retained segment must have
-    x + y < 0, and the normalized tempered part must satisfy the
-    sign-product condition; violations signal an assembly bug upstream and
-    raise.
+    segment; unit factors are dropped.  The result's key then passes
+    :func:`check_module_key`: every retained segment must have x + y < 0,
+    and the normalized tempered part must satisfy the sign-product
+    condition; violations signal an assembly bug upstream and raise.
     """
     temp = normalize_tempered(tempered)
     if is_zero(temp):
@@ -375,14 +443,11 @@ def make_standard_module(
     kept = steinberg_product(segments)
     if is_zero(kept):
         return ZERO_REP
-    for seg in kept:
-        if seg.x.twice + seg.y.twice >= 0:
-            raise NotStandardModuleError(
-                f"segment [{seg.x},{seg.y}] has non-negative exponent sum"
-            )
-    if not sign_condition_holds(temp):
-        raise NotStandardModuleError("tempered part violates the sign-product condition")
-    return StandardModule(kept, temp)  # type: ignore[arg-type]
+    module = StandardModule(kept, temp)  # type: ignore[arg-type]
+    labels = {s.rho.id: s.rho for s in module.segments}
+    labels.update((p.rho.id, p.rho) for p in temp.pieces)
+    check_module_key(temp.group, labels, module.sort_key())
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +485,11 @@ class GrothendieckElement:
     ) -> "GrothendieckElement":
         acc = sum_coefficients(items)
         for module in acc:
-            if module.rank != rank:
-                raise RankMismatchError(
-                    f"term of rank {module.rank} in an element of rank {rank}"
-                )
+            _check_rank(module.rank, rank)
         terms = tuple(
             sorted(((m, c) for m, c in acc.items() if c != 0), key=lambda mc: mc[0].sort_key())
         )
         return GrothendieckElement(rank, terms)
-
-    @staticmethod
-    def of_module(module: StandardModule, coeff: int = 1) -> "GrothendieckElement":
-        return GrothendieckElement.from_items(module.rank, [(module, coeff)])
 
     def coefficient(self, module: StandardModule) -> int:
         for m, c in self.terms:
@@ -445,18 +503,3 @@ class GrothendieckElement:
     def __len__(self) -> int:
         return len(self.terms)
 
-
-def gr_combine(
-    elems: Sequence[tuple[int, GrothendieckElement]], rank: int | None = None
-) -> GrothendieckElement:
-    """Integer combination of elements sharing one rank."""
-    if rank is None:
-        if not elems:
-            raise LadderError("cannot combine an empty list without an explicit rank")
-        rank = elems[0][1].rank
-    items: list[tuple[StandardModule, int]] = []
-    for coeff, elem in elems:
-        if elem.rank != rank:
-            raise RankMismatchError(f"rank {elem.rank} element combined at rank {rank}")
-        items.extend((m, coeff * c) for m, c in elem.terms)
-    return GrothendieckElement.from_items(rank, items)

@@ -18,23 +18,26 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
+    CuspidalLabel,
     GrothendieckElement,
+    GroupKind,
     HalfInt,
     LadderError,
+    ModuleKey,
     Segment,
     StandardModule,
     TemperedParam,
     TemperedPiece,
     ZeroRep,
+    check_module_key,
     is_zero,
     make_standard_module,
     steinberg_product,
     sum_coefficients,
-    CuspidalLabel,
 )
 from .datum import DatumBlock, LadderDatum, MINUS_HALF, validate_datum
 from .graph import supp_ladder
-from .support import project_ps
+from .support import SupportFilter
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -163,7 +166,7 @@ def assemble_i_sigma(
     ]
 
 
-def _block_shares(block: DatumBlock) -> dict[tuple, int]:
+def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
     """One block's shares of the summands, summed with the permutation signs.
 
     A share is a pair (segment keys, piece keys), each sorted, in the form
@@ -173,7 +176,7 @@ def _block_shares(block: DatumBlock) -> dict[tuple, int]:
     """
     rid = block.rho.id
 
-    def shares(perm: tuple[int, ...]) -> Iterator[tuple[tuple, int]]:
+    def shares(perm: tuple[int, ...]) -> Iterator[tuple[ModuleKey, int]]:
         segments, pairs, fixed = _block_parts(block, perm)
         if any(y > x + 2 for x, y in segments):
             return
@@ -186,7 +189,7 @@ def _block_shares(block: DatumBlock) -> dict[tuple, int]:
     return sum_coefficients(item for perm in _block_perms(block) for item in shares(perm))
 
 
-def _join(key: tuple, share: tuple) -> tuple:
+def _join(key: ModuleKey, share: ModuleKey) -> ModuleKey:
     """The key of a product of shares over distinct labels.
 
     Every segment and piece key names its label, so the joined key
@@ -195,28 +198,28 @@ def _join(key: tuple, share: tuple) -> tuple:
     return tuple(sorted(key[0] + share[0])), tuple(sorted(key[1] + share[1]))
 
 
-def _modules_of_keys(
-    d: LadderDatum, terms: dict[tuple, int]
-) -> list[tuple[StandardModule, int]]:
-    """Build each key's module by :func:`make_standard_module`, which checks it.
+def _terms_of_keys(
+    group: GroupKind, labels: dict[str, CuspidalLabel], items: list[tuple[ModuleKey, int]]
+) -> tuple[tuple[StandardModule, int], ...]:
+    """Each key's module, built directly since the key passed
+    :func:`check_module_key`, with its coefficient.
 
-    Keys with equal pieces share one tempered parameter.
+    Equal segment keys share one segment, and equal piece keys one tempered
+    parameter.
     """
-    rhos = {b.rho.id: b.rho for b in d.blocks}
-    tempered: dict[tuple, TemperedParam] = {}
-    items = []
-    for (seg_keys, piece_keys), c in terms.items():
+    segments: dict[tuple[int, int, str, int], Segment] = {}
+    tempered: dict[tuple[tuple[str, int, int], ...], TemperedParam] = {}
+    terms = []
+    for (seg_keys, piece_keys), c in items:
+        for k in seg_keys:
+            if k not in segments:
+                segments[k] = Segment(labels[k[2]], HalfInt(k[1]), HalfInt(k[3]))
         if piece_keys not in tempered:
             tempered[piece_keys] = TemperedParam(
-                d.group, tuple(TemperedPiece(rhos[rid], a, -s) for rid, a, s in piece_keys)
+                group, tuple(TemperedPiece(labels[rid], a, -neg) for rid, a, neg in piece_keys)
             )
-        module = make_standard_module(
-            [Segment(rhos[rid], HalfInt(x), HalfInt(y)) for _, x, rid, y in seg_keys],
-            tempered[piece_keys],
-        )
-        assert isinstance(module, StandardModule)
-        items.append((module, c))
-    return items
+        terms.append((StandardModule(tuple(segments[k] for k in seg_keys), tempered[piece_keys]), c))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -240,22 +243,39 @@ def sigma_table(d: LadderDatum) -> list[TableRow]:
 def determinantal_formula(d: LadderDatum, projected: bool = True) -> GrothendieckElement:
     """Signed sum of the permutation summands, optionally support-projected.
 
-    The sum runs over integer sort keys instead of assembled summands.  The
-    permutation tuples are products of per-block permutations, so the sum
-    is the product of the per-block sums of shares (:func:`_block_shares`).
-    Each distinct key, coefficient 0 included, is then built once by
-    :func:`make_standard_module`, which checks it.  This equals summing
-    :func:`assemble_i_sigma` over :func:`enumerate_sigma`.
+    The sum runs over the integer keys of :meth:`StandardModule.sort_key`
+    instead of assembled summands.  The permutation tuples are products of
+    per-block permutations, so the sum is the product of the per-block sums
+    of shares (:func:`_block_shares`).  Every distinct key, coefficient 0
+    included, passes :func:`check_module_key`.  The nonzero keys are sorted,
+    the projection keeps those whose support is the ladder's, and a module
+    is built only for each key kept.  This equals summing
+    :func:`assemble_i_sigma` over :func:`enumerate_sigma`, then projecting.
     """
     rank = validate_datum(d)
-    terms: dict[tuple, int] = {((), ()): 1}
+    terms: dict[ModuleKey, int] = {((), ()): 1}
     for block in d.blocks:
         shares = _block_shares(block)
         terms = {_join(k, share): c * s for k, c in terms.items() for share, s in shares.items()}
-    element = GrothendieckElement.from_items(rank, _modules_of_keys(d, terms))
+    labels = {b.rho.id: b.rho for b in d.blocks}
+    for key in terms:
+        check_module_key(d.group, labels, key, rank)
+    # sorted before projecting, so that a tempered part whose support fails
+    # is met in term order, as when projecting a built element
+    kept = sorted((key, c) for key, c in terms.items() if c)
     if projected:
-        element = project_ps(supp_ladder(d), element)
-    return element
+        support = SupportFilter(supp_ladder(d))
+        kept = [
+            (key, c)
+            for key, c in kept
+            if support.keeps(
+                d.group,
+                key[1],
+                ((labels[rid], a, -neg) for rid, a, neg in key[1]),
+                ((rid, x, y) for _, x, rid, y in key[0]),
+            )
+        ]
+    return GrothendieckElement(rank, _terms_of_keys(d.group, labels, kept))
 
 
 # ---------------------------------------------------------------------------

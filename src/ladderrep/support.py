@@ -14,14 +14,14 @@ conjecture-grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .core import (
     CuspidalLabel,
+    GroupKind,
     GrothendieckElement,
     HalfInt,
     LadderError,
-    StandardModule,
     TemperedParam,
 )
 from .datum import DatumBlock, LadderDatum, canonical_form, validate_datum
@@ -53,134 +53,173 @@ class SupportMultiset:
                 entries.append((rho, values))
         return SupportMultiset(tuple(entries), canonical_form(core))
 
-    @property
-    def exponent_dimension(self) -> int:
-        return sum(rho.d * len(values) for rho, values in self.exponents)
-
 
 def _reduce_label(
-    rho: CuspidalLabel, pieces: dict[HalfInt, int]
-) -> tuple[list[HalfInt], DatumBlock | None]:
-    """Run the hole/pair reduction for one label; return (exponents, core block)."""
-    collected: list[HalfInt] = []
-    while True:
-        fired = False
-        for x in sorted(pieces, key=lambda v: -v.twice):
-            sign = pieces[x]
-            below = x - 1
-            if below in pieces:
-                if pieces[below] == sign:
-                    # pair rule: the two sign choices exhaust an induced
-                    # module whose GL factor covers [-(x-1), x-1].
-                    del pieces[x]
-                    del pieces[below]
-                    collected.extend([x, -x])
-                    v = x - 1
-                    while not v < 1 - x:
-                        collected.extend([v, v])
-                        v = v - 1
-                    fired = True
-                    break
+    rho: CuspidalLabel, pieces: Sequence[tuple[int, int]]
+) -> tuple[list[int], DatumBlock | None]:
+    """Run the hole/pair reduction for one label; return (doubled exponents, core block).
+
+    The pieces are ``(2x, sign)``, x the exponent, in increasing order.
+    They are scanned from the top down.  A rule firing at a piece
+    changes only whether the piece just above it is blocked (its neighbour
+    below is gone), so the scan resumes there instead of at the top; every
+    piece further up was passed over and still cannot fire.
+    """
+    xs = [x for x, _ in pieces]
+    signs = [sign for _, sign in pieces]
+    collected: list[int] = []
+    i = len(xs) - 1
+    while i >= 0:
+        x, sign = xs[i], signs[i]
+        if i and xs[i - 1] == x - 2:
+            if signs[i - 1] != sign:
+                i -= 1
                 continue
-            if x.twice >= 2 or (x.twice == 1 and sign == 1):
-                # hole rule: peel the top exponent of an isolated piece.
-                del pieces[x]
-                collected.extend([x, -x])
-                if not below.twice == -1:  # size would be 0: convention drop
-                    pieces[below] = sign
-                fired = True
-                break
-        if not fired:
-            break
-    if not pieces:
+            # pair rule: the two sign choices exhaust an induced module whose
+            # GL factor covers [-(x-1), x-1].
+            del xs[i - 1 : i + 1], signs[i - 1 : i + 1]
+            collected += (x, -x)
+            for v in range(x - 2, 1 - x, -2):
+                collected += (v, v)
+            i = min(i - 1, len(xs) - 1)
+        elif x >= 2 or (x == 1 and sign == 1):
+            # hole rule: peel the top exponent of an isolated piece.
+            collected += (x, -x)
+            if x >= 2:
+                xs[i] = x - 2  # stays sorted: x - 2 was absent
+                i = min(i + 1, len(xs) - 1)
+            else:  # size would be 0: convention drop
+                del xs[i], signs[i]
+                i = min(i, len(xs) - 1)
+        else:
+            i -= 1
+    if not xs:
         return collected, None
-    exps = sorted(pieces, key=lambda v: v.twice)
-    bottom = exps[0]
-    if bottom.twice not in (0, 1):
+    bottom = xs[0]
+    if bottom not in (0, 1):
         raise UnsupportedParameterError(
             f"label {rho.id!r}: irreducible remainder does not start at 0 or 1/2"
         )
-    for i, v in enumerate(exps):
-        if v.twice != bottom.twice + 2 * i:
+    for i, v in enumerate(xs):
+        if v != bottom + 2 * i:
             raise UnsupportedParameterError(
                 f"label {rho.id!r}: irreducible remainder is not a staircase"
             )
-        if pieces[v] != pieces[bottom] * (-1) ** i:
+        if signs[i] != signs[0] * (-1) ** i:
             raise UnsupportedParameterError(
                 f"label {rho.id!r}: irreducible remainder signs do not alternate"
             )
-    if bottom.twice == 1 and pieces[bottom] != -1:
+    if bottom == 1 and signs[0] != -1:
         raise UnsupportedParameterError(
             f"label {rho.id!r}: remainder with bottom 1/2 must carry sign -1"
         )
-    return collected, DatumBlock(rho, tuple(exps), 0, pieces[bottom])
+    return collected, DatumBlock(rho, tuple(HalfInt(v) for v in xs), 0, signs[0])
 
 
-def supp_discrete_series(t: TemperedParam) -> SupportMultiset:
-    """Support of a multiplicity-free, size-0-free tempered parameter."""
-    by_label: dict[CuspidalLabel, dict[HalfInt, int]] = {}
-    for p in t.pieces:
-        if p.a == 0:
+def _tail(
+    group: GroupKind, pieces: Iterable[tuple[CuspidalLabel, int, int]], reductions: dict
+) -> tuple[dict[CuspidalLabel, list[int]], LadderDatum]:
+    """Support of a multiplicity-free, size-0-free tempered part.
+
+    The pieces ``(label, size, sign)`` come in :meth:`TemperedPiece.sort_key`
+    order.  Returns the doubled exponents per label and the validated core,
+    not yet in canonical form.  ``reductions`` memoizes
+    :func:`_reduce_label` per (label, pieces) for as long as the caller
+    keeps it.
+    """
+    by_label: dict[CuspidalLabel, list[tuple[int, int]]] = {}
+    for rho, a, sign in pieces:
+        if a == 0:
             raise UnsupportedParameterError("parameter must be normalized (no size-0 pieces)")
-        slot = by_label.setdefault(p.rho, {})
-        if p.exponent in slot:
+        slot = by_label.setdefault(rho, [])
+        if slot and slot[-1][0] == a - 1:  # equal sizes are adjacent in sorted order
             raise UnsupportedParameterError(
-                f"label {p.rho.id!r}: repeated piece of size {p.a} is unsupported"
+                f"label {rho.id!r}: repeated piece of size {a} is unsupported"
             )
-        slot[p.exponent] = p.sign
-    exponents: dict[CuspidalLabel, list[HalfInt]] = {}
+        slot.append((a - 1, sign))
+    exponents: dict[CuspidalLabel, list[int]] = {}
     blocks = []
     for rho in sorted(by_label, key=lambda r: r.id):
-        collected, core_block = _reduce_label(rho, dict(by_label[rho]))
+        key = (rho, tuple(by_label[rho]))
+        reduced = reductions.get(key)
+        if reduced is None:
+            reduced = reductions[key] = _reduce_label(rho, key[1])
+        collected, core_block = reduced
         if collected:
             exponents[rho] = collected
         if core_block is not None:
             blocks.append(core_block)
-    core = LadderDatum.of(t.group, blocks)
+    core = LadderDatum.of(group, blocks)
     validate_datum(core)
-    return SupportMultiset.of(exponents, core)
+    return exponents, core
 
 
-def supp_standard_module(s: StandardModule) -> SupportMultiset:
-    """Segment exponents with their duals, plus the tempered support."""
-    tail = supp_discrete_series(s.tempered)
-    exponents: dict[CuspidalLabel, list[HalfInt]] = {
-        rho: list(values) for rho, values in tail.exponents
-    }
-    for seg in s.segments:
-        slot = exponents.setdefault(seg.rho, [])
-        for v in seg.exponents():
-            slot.extend([v, -v])
-    return SupportMultiset.of(exponents, tail.core)
+def supp_discrete_series(t: TemperedParam) -> SupportMultiset:
+    """Support of a multiplicity-free, size-0-free tempered parameter."""
+    exponents, core = _tail(t.group, [(p.rho, p.a, p.sign) for p in t.pieces], {})
+    return SupportMultiset.of(
+        {rho: [HalfInt(v) for v in values] for rho, values in exponents.items()}, core
+    )
 
 
-def _doubled(s: SupportMultiset) -> dict[CuspidalLabel, list[int]]:
-    return {rho: [v.twice for v in values] for rho, values in s.exponents}
+class SupportFilter:
+    """The test ``support(module) == target``, on modules given by their parts.
+
+    A module's support is its tempered part's support plus, per segment
+    ``[x, y]``, the exponents ``x..y`` and their negatives; exponents are
+    compared as sorted doubled integers per label id.  The support of each
+    distinct tempered part, and of each label's piece set, is computed once
+    per filter.
+    """
+
+    def __init__(self, target: SupportMultiset) -> None:
+        self.core = target.core
+        self.wanted = {rho.id: [v.twice for v in values] for rho, values in target.exponents}
+        self.tails: dict[Hashable, dict[str, list[int]] | None] = {}
+        self.reductions: dict = {}
+
+    def keeps(
+        self,
+        group: GroupKind,
+        tail_key: Hashable,
+        pieces: Iterable[tuple[CuspidalLabel, int, int]],
+        segments: Iterable[tuple[str, int, int]],
+    ) -> bool:
+        """Whether the module has the target support.
+
+        ``tail_key`` names the tempered part, whose ``pieces`` are read only
+        the first time it is met; ``segments`` are ``(label id, 2x, 2y)``.
+        """
+        if tail_key in self.tails:
+            tail = self.tails[tail_key]
+        else:
+            exponents, core = _tail(group, pieces, self.reductions)
+            tail = self.tails[tail_key] = (
+                {rho.id: values for rho, values in exponents.items()}
+                if canonical_form(core) == self.core
+                else None
+            )
+        if tail is None:
+            return False
+        got = {rid: list(values) for rid, values in tail.items()}
+        for rid, x, y in segments:
+            slot = got.setdefault(rid, [])
+            for v in range(y, x + 1, 2):
+                slot += (v, -v)
+        return {rid: sorted(values) for rid, values in got.items()} == self.wanted
 
 
 def project_ps(target: SupportMultiset, elem: GrothendieckElement) -> GrothendieckElement:
-    """Keep exactly the terms whose support equals the target.
-
-    This is the filter ``supp_standard_module(m) == target``, with the
-    exponents compared as sorted doubled integers per label, and the support
-    of each distinct tempered part computed once.
-    """
-    wanted = _doubled(target)
-    tails: dict[TemperedParam, tuple[bool, dict[CuspidalLabel, list[int]]]] = {}
-    kept = []
-    for m, c in elem.terms:
-        entry = tails.get(m.tempered)
-        if entry is None:
-            tail = supp_discrete_series(m.tempered)
-            entry = tails[m.tempered] = (tail.core == target.core, _doubled(tail))
-        core_matches, tail_exponents = entry
-        if not core_matches:
-            continue
-        exponents = {rho: list(values) for rho, values in tail_exponents.items()}
-        for seg in m.segments:
-            slot = exponents.setdefault(seg.rho, [])
-            for v in range(seg.y.twice, seg.x.twice + 1, 2):
-                slot += (v, -v)
-        if {rho: sorted(values) for rho, values in exponents.items()} == wanted:
-            kept.append((m, c))
+    """Keep exactly the terms whose support equals the target."""
+    support = SupportFilter(target)
+    kept = [
+        (m, c)
+        for m, c in elem.terms
+        if support.keeps(
+            m.group,
+            m.tempered,
+            ((p.rho, p.a, p.sign) for p in m.tempered.pieces),
+            ((s.rho.id, s.x.twice, s.y.twice) for s in m.segments),
+        )
+    ]
     return GrothendieckElement(elem.rank, tuple(kept))  # a subsequence of sorted, merged terms

@@ -20,12 +20,15 @@ from ladderrep import (
     HalfInt,
     JacquetTerm,
     LadderDatum,
+    LadderError,
     Parity,
+    RankMismatchError,
     StandardModule,
     SupportMultiset,
     TemperedParam,
     TemperedPiece,
     Segment,
+    UnsupportedParameterError,
     assemble_i_sigma,
     build_graph,
     derivative,
@@ -36,7 +39,6 @@ from ladderrep import (
     make_standard_module,
     steinberg_product,
     supp_ladder,
-    supp_standard_module,
     validate_datum,
 )
 from ladderrep.core import sum_coefficients
@@ -83,6 +85,10 @@ def assert_has_vertex_matches_vertices(g) -> None:
 def load_golden(name: str) -> dict:
     with open(GOLDEN_DIR / name, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def golden_data() -> list[dict]:
+    return [load_golden(path.name) for path in sorted(GOLDEN_DIR.glob("*.json"))]
 
 
 def golden_datum(data: dict) -> LadderDatum:
@@ -177,6 +183,156 @@ def random_datum(rng: random.Random, max_blocks: int = 2, max_t: int = 5) -> Lad
 def build_corpus(seed: int = 20260808, size: int = 240, **kwargs) -> list[LadderDatum]:
     rng = random.Random(seed)
     return [random_datum(rng, **kwargs) for _ in range(size)]
+
+
+INTEGRAL_WINDOW = ["-4", "-3", "-2", "-1", "0", "1", "2", "3", "4"]
+HALF_WINDOW = ["-7/2", "-5/2", "-3/2", "-1/2", "1/2", "3/2", "5/2", "7/2"]
+
+
+def enumerate_small(parity: Parity, window: list[str], max_t: int = 4) -> list[LadderDatum]:
+    """Every valid single-block datum with exponents in the window, non-canonical ones too."""
+    label = INT_LABEL if parity is Parity.INTEGRAL else HALF_LABEL
+    values = [hi(s) for s in window]
+    out = []
+    for t in range(0, max_t + 1):
+        for exps in itertools.combinations(values, t):
+            for l in range(0, t // 2 + 1):
+                for eta in (1, -1):
+                    block = DatumBlock(label, exps, l, eta)
+                    dim = block.dimension
+                    group = GroupKind.SP if dim % 2 else GroupKind.SO_ODD
+                    datum = LadderDatum.of(group, [block])
+                    try:
+                        validate_datum(datum)
+                    except Exception:
+                        continue
+                    out.append(datum)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# integer combinations and supports, as only the tests use them
+
+
+def of_module(module: StandardModule, coeff: int = 1) -> GrothendieckElement:
+    return GrothendieckElement.from_items(module.rank, [(module, coeff)])
+
+
+def gr_combine(
+    elems: list[tuple[int, GrothendieckElement]], rank: int | None = None
+) -> GrothendieckElement:
+    """Integer combination of elements sharing one rank."""
+    if rank is None:
+        if not elems:
+            raise LadderError("cannot combine an empty list without an explicit rank")
+        rank = elems[0][1].rank
+    items: list[tuple[StandardModule, int]] = []
+    for coeff, elem in elems:
+        if elem.rank != rank:
+            raise RankMismatchError(f"rank {elem.rank} element combined at rank {rank}")
+        items.extend((m, coeff * c) for m, c in elem.terms)
+    return GrothendieckElement.from_items(rank, items)
+
+
+def exponent_dimension(s: SupportMultiset) -> int:
+    return sum(rho.d * len(values) for rho, values in s.exponents)
+
+
+def reference_reduce_label(
+    rho: CuspidalLabel, pieces: dict[HalfInt, int]
+) -> tuple[list[HalfInt], DatumBlock | None]:
+    """The hole/pair reduction for one label, rescanning from the top after
+    every firing: the reference for ``support._reduce_label``."""
+    collected: list[HalfInt] = []
+    while True:
+        fired = False
+        for x in sorted(pieces, key=lambda v: -v.twice):
+            sign = pieces[x]
+            below = x - 1
+            if below in pieces:
+                if pieces[below] == sign:
+                    # pair rule: the two sign choices exhaust an induced
+                    # module whose GL factor covers [-(x-1), x-1].
+                    del pieces[x]
+                    del pieces[below]
+                    collected.extend([x, -x])
+                    v = x - 1
+                    while not v < 1 - x:
+                        collected.extend([v, v])
+                        v = v - 1
+                    fired = True
+                    break
+                continue
+            if x.twice >= 2 or (x.twice == 1 and sign == 1):
+                # hole rule: peel the top exponent of an isolated piece.
+                del pieces[x]
+                collected.extend([x, -x])
+                if not below.twice == -1:  # size would be 0: convention drop
+                    pieces[below] = sign
+                fired = True
+                break
+        if not fired:
+            break
+    if not pieces:
+        return collected, None
+    exps = sorted(pieces, key=lambda v: v.twice)
+    bottom = exps[0]
+    if bottom.twice not in (0, 1):
+        raise UnsupportedParameterError(
+            f"label {rho.id!r}: irreducible remainder does not start at 0 or 1/2"
+        )
+    for i, v in enumerate(exps):
+        if v.twice != bottom.twice + 2 * i:
+            raise UnsupportedParameterError(
+                f"label {rho.id!r}: irreducible remainder is not a staircase"
+            )
+        if pieces[v] != pieces[bottom] * (-1) ** i:
+            raise UnsupportedParameterError(
+                f"label {rho.id!r}: irreducible remainder signs do not alternate"
+            )
+    if bottom.twice == 1 and pieces[bottom] != -1:
+        raise UnsupportedParameterError(
+            f"label {rho.id!r}: remainder with bottom 1/2 must carry sign -1"
+        )
+    return collected, DatumBlock(rho, tuple(exps), 0, pieces[bottom])
+
+
+def reference_supp_discrete_series(t: TemperedParam) -> SupportMultiset:
+    """``supp_discrete_series`` on :func:`reference_reduce_label`."""
+    by_label: dict[CuspidalLabel, dict[HalfInt, int]] = {}
+    for p in t.pieces:
+        if p.a == 0:
+            raise UnsupportedParameterError("parameter must be normalized (no size-0 pieces)")
+        slot = by_label.setdefault(p.rho, {})
+        if p.exponent in slot:
+            raise UnsupportedParameterError(
+                f"label {p.rho.id!r}: repeated piece of size {p.a} is unsupported"
+            )
+        slot[p.exponent] = p.sign
+    exponents: dict[CuspidalLabel, list[HalfInt]] = {}
+    blocks = []
+    for rho in sorted(by_label, key=lambda r: r.id):
+        collected, core_block = reference_reduce_label(rho, dict(by_label[rho]))
+        if collected:
+            exponents[rho] = collected
+        if core_block is not None:
+            blocks.append(core_block)
+    core = LadderDatum.of(t.group, blocks)
+    validate_datum(core)
+    return SupportMultiset.of(exponents, core)
+
+
+def supp_standard_module(s: StandardModule) -> SupportMultiset:
+    """Segment exponents with their duals, plus the tempered support."""
+    tail = reference_supp_discrete_series(s.tempered)
+    exponents: dict[CuspidalLabel, list[HalfInt]] = {
+        rho: list(values) for rho, values in tail.exponents
+    }
+    for seg in s.segments:
+        slot = exponents.setdefault(seg.rho, [])
+        for v in seg.exponents():
+            slot.extend([v, -v])
+    return SupportMultiset.of(exponents, tail.core)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,11 @@ from ladderrep import (
     sign_condition_holds,
     standard_module_of,
     supp_ladder,
-    supp_standard_module,
     validate_datum,
 )
 from ladderrep.core import Parity
 
-from helpers import golden_datum, golden_module, load_golden, unipotent
+from helpers import golden_datum, golden_module, load_golden, supp_standard_module, unipotent
 from test_formula import _shift_module, _sigma_sets_agree, gl, _oracle_t2, _oracle_t3, _random_gl_ladder
 
 GOLDEN_FILES = [

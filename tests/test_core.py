@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from ladderrep import (
     CuspidalLabel,
     GroupKind,
-    GrothendieckElement,
     HalfInt,
     InvalidSegmentError,
     LadderError,
@@ -16,15 +15,16 @@ from ladderrep import (
     Segment,
     TemperedParam,
     TemperedPiece,
-    gr_combine,
+    GrothendieckElement,
     hi,
     is_zero,
     make_standard_module,
     normalize_tempered,
     steinberg_product,
 )
+from ladderrep.core import check_module_key
 
-from helpers import HALF_LABEL, INT_LABEL, module
+from helpers import HALF_LABEL, INT_LABEL, gr_combine, module, of_module
 
 
 halfints = st.integers(min_value=-40, max_value=40).map(HalfInt)
@@ -53,6 +53,18 @@ def test_halfint_parse_forms():
     for text in ("4/2", "0/2", "-2/2"):
         with pytest.raises(ValueError):
             hi(text)
+
+
+def test_halfint_mixed_arithmetic():
+    assert 3 - hi("1") == hi("2")
+    assert 1 + hi("1/2") == hi("3/2")
+    for other in (3.5, "3"):
+        with pytest.raises(TypeError):
+            other - hi("1")
+        with pytest.raises(TypeError):
+            hi("1") - other
+        with pytest.raises(TypeError):
+            other + hi("1")
 
 
 def test_halfint_comparison_rejects_ints():
@@ -193,11 +205,114 @@ def test_canonical_key_orders_by_sum_then_start():
 
 
 # ---------------------------------------------------------------------------
+# the assembly checks on a module's key
+
+
+LABELS = {"1": INT_LABEL}
+
+
+def test_check_module_key_returns_rank():
+    m = module(GroupKind.SP, INT_LABEL, [("0", "-2")], [("1", 1)])
+    assert check_module_key(GroupKind.SP, LABELS, m.sort_key()) == m.rank == 4
+    assert check_module_key(GroupKind.SP, LABELS, m.sort_key(), rank=4) == 4
+
+
+def _failure(call):
+    with pytest.raises(LadderError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# Each key breaks one clause; the second column builds the same module the
+# way the engine did before the checks ran on keys, and both must fail alike.
+BROKEN_KEYS = [
+    (
+        "non-negative exponent sum",
+        GroupKind.SP,
+        (((0, 2, "1", -2),), (("1", 3, -1),)),
+        None,
+        lambda: make_standard_module(
+            [Segment(INT_LABEL, hi("1"), hi("-1"))],
+            TemperedParam(GroupKind.SP, (TemperedPiece(INT_LABEL, 3, 1),)),
+        ),
+        NotStandardModuleError,
+        "segment [1,-1] has non-negative exponent sum",
+    ),
+    (
+        "sign product -1",
+        GroupKind.SP,
+        ((), (("1", 3, 1),)),
+        None,
+        lambda: make_standard_module(
+            [], TemperedParam(GroupKind.SP, (TemperedPiece(INT_LABEL, 3, -1),))
+        ),
+        NotStandardModuleError,
+        "tempered part violates the sign-product condition",
+    ),
+    (
+        "wrong rank",
+        GroupKind.SP,
+        (((-2, 0, "1", -2),), (("1", 3, -1),)),
+        5,
+        lambda: GrothendieckElement.from_items(
+            5, [(module(GroupKind.SP, INT_LABEL, [("0", "-1")], [("1", 1)]), 1)]
+        ),
+        RankMismatchError,
+        "term of rank 3 in an element of rank 5",
+    ),
+    (
+        "opposite signs on one (label, size)",
+        GroupKind.SP,
+        ((), (("1", 3, -1), ("1", 3, 1), ("1", 1, -1))),
+        None,
+        lambda: TemperedParam(
+            GroupKind.SP,
+            (
+                TemperedPiece(INT_LABEL, 3, 1),
+                TemperedPiece(INT_LABEL, 3, -1),
+                TemperedPiece(INT_LABEL, 1, 1),
+            ),
+        ),
+        LadderError,
+        "pieces with equal (label, size) ('1', 3) carry opposite signs",
+    ),
+    (
+        "wrong dimension parity",
+        GroupKind.SO_ODD,
+        ((), (("1", 3, -1),)),
+        None,
+        lambda: TemperedParam(GroupKind.SO_ODD, (TemperedPiece(INT_LABEL, 3, 1),)),
+        LadderError,
+        "parameter dimension 3 has the wrong parity for SOodd",
+    ),
+    (
+        "segment parity",
+        GroupKind.SP,
+        (((-2, 1, "1", -3),), (("1", 3, -1),)),
+        None,
+        lambda: Segment(INT_LABEL, hi("1/2"), hi("-3/2")),
+        InvalidSegmentError,
+        "segment [1/2,-3/2] does not match the parity of label '1'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "group, key, rank, build, error, message",
+    [case[1:] for case in BROKEN_KEYS],
+    ids=[case[0] for case in BROKEN_KEYS],
+)
+def test_check_module_key_fails_like_assembly(group, key, rank, build, error, message):
+    assert _failure(lambda: check_module_key(group, LABELS, key, rank)) == (error, message)
+    assert _failure(build) == (error, message)
+
+
+# ---------------------------------------------------------------------------
 # integer combinations
 
 
 def _elem(coeff=1):
-    return GrothendieckElement.of_module(
+    return of_module(
         module(GroupKind.SP, INT_LABEL, [("0", "-2")], [("1", 1)]), coeff
     )
 
@@ -208,7 +323,7 @@ def test_gr_combine_cancellation():
 
 
 def test_gr_combine_two_terms():
-    other = GrothendieckElement.of_module(
+    other = of_module(
         module(GroupKind.SP, INT_LABEL, [("0", "-1")], [("2", 1)])
     )
     total = gr_combine([(1, _elem()), (1, other)])
@@ -221,7 +336,7 @@ def test_gr_combine_coefficients_add():
 
 
 def test_gr_combine_rank_mismatch():
-    small = GrothendieckElement.of_module(module(GroupKind.SP, INT_LABEL, [], [("1", 1)]))
+    small = of_module(module(GroupKind.SP, INT_LABEL, [], [("1", 1)]))
     with pytest.raises(RankMismatchError):
         gr_combine([(1, _elem()), (1, small)])
 
@@ -233,7 +348,7 @@ def test_gr_combine_commutative_associative(spec):
         module(GroupKind.SP, INT_LABEL, [("0", "-1")], [("2", 1)]),
         module(GroupKind.SP, INT_LABEL, [("1", "-2")], [("0", 1)]),
     ]
-    elems = [(c, GrothendieckElement.of_module(mods[i])) for c, i in spec]
+    elems = [(c, of_module(mods[i])) for c, i in spec]
     forward = gr_combine(elems, rank=4)
     backward = gr_combine(list(reversed(elems)), rank=4)
     assert forward == backward

@@ -8,13 +8,9 @@ conventions: parses and duals land on canonical forms of the same
 representation.
 """
 
-import itertools
-
 import pytest
 
 from ladderrep import (
-    DatumBlock,
-    GroupKind,
     LadderDatum,
     SigmaElement,
     build_graph,
@@ -24,57 +20,18 @@ from ladderrep import (
     determinantal_formula,
     enumerate_sigma,
     graph_to_datum,
-    hi,
     is_canonical,
     jacquet_expansion,
     standard_module_of,
     supp_ladder,
-    supp_standard_module,
     validate_datum,
 )
-from ladderrep.core import Parity
 
 from helpers import (
-    HALF_LABEL,
-    INT_LABEL,
     assert_has_vertex_matches_vertices,
     reference_expansion,
+    supp_standard_module,
 )
-
-
-def _enumerate_small(parity, window, max_t=4):
-    label = INT_LABEL if parity is Parity.INTEGRAL else HALF_LABEL
-    values = [hi(s) for s in window]
-    out = []
-    for t in range(0, max_t + 1):
-        for exps in itertools.combinations(values, t):
-            for l in range(0, t // 2 + 1):
-                for eta in (1, -1):
-                    block = DatumBlock(label, exps, l, eta)
-                    dim = block.dimension
-                    group = GroupKind.SP if dim % 2 else GroupKind.SO_ODD
-                    datum = LadderDatum.of(group, [block])
-                    try:
-                        validate_datum(datum)
-                    except Exception:
-                        continue
-                    out.append(datum)
-    return out
-
-
-INTEGRAL_WINDOW = ["-4", "-3", "-2", "-1", "0", "1", "2", "3", "4"]
-HALF_WINDOW = ["-7/2", "-5/2", "-3/2", "-1/2", "1/2", "3/2", "5/2", "7/2"]
-
-
-@pytest.fixture(scope="module")
-def small_data():
-    data = _enumerate_small(Parity.INTEGRAL, INTEGRAL_WINDOW) + _enumerate_small(
-        Parity.HALF_INTEGRAL, HALF_WINDOW
-    )
-    # duplicates cannot arise: (X, l, eta) determines the datum
-    assert len(data) > 150
-    assert any(not is_canonical(d) for d in data)
-    return data
 
 
 def test_graph_round_trip(small_data):

@@ -14,6 +14,7 @@ from ladderrep import (
     Parity,
     Segment,
     SigmaElement,
+    StandardModule,
     TemperedParam,
     TemperedPiece,
     assemble_i_sigma,
@@ -30,12 +31,14 @@ from ladderrep import (
     steinberg_product,
     validate_datum,
 )
-from ladderrep.formula import permutation_sign
+from ladderrep.formula import _block_shares, permutation_sign
 
 from helpers import (
     HALF_LABEL,
     INT_LABEL,
     gl_combination_from_items,
+    golden_data,
+    golden_datum,
     module,
     reference_expansion,
     reference_gl_expansion,
@@ -208,8 +211,31 @@ def test_coefficient_profile_reported(corpus):
 
 @pytest.mark.parametrize("projected", [True, False])
 def test_expansion_matches_reference(corpus, small_corpus, projected):
-    for d in corpus + small_corpus:
+    golden = [golden_datum(data) for data in golden_data()]
+    for d in corpus + small_corpus + golden:
         assert determinantal_formula(d, projected) == reference_expansion(d, projected)
+
+
+def test_modules_built_track_the_output(monkeypatch):
+    # a module is built for each output term only: not for the keys the
+    # projection drops, nor for the keys whose coefficients cancel
+    d = unipotent(range(8), 2, 1)
+    assert d.group is GroupKind.SO_ODD
+    built = []
+    init = StandardModule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StandardModule, "__init__", counting_init)
+    projected = determinantal_formula(d)
+    assert len(built) == len(projected)
+    built.clear()
+    raw = determinantal_formula(d, projected=False)
+    assert len(built) == len(raw)
+    distinct_keys = _block_shares(d.blocks[0])
+    assert len(projected) < len(raw) < len(distinct_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ from ladderrep import (
     sigma_table,
     standard_module_of,
     supp_ladder,
-    supp_standard_module,
     validate_datum,
 )
 
-from helpers import golden_datum, golden_module, load_golden
+from helpers import golden_datum, golden_module, load_golden, supp_standard_module
 
 GOLDEN_FILES = [
     "table_sp8_l1.json",

@@ -21,8 +21,15 @@ from ladderrep import (
 )
 from ladderrep import jsonio
 
-from helpers import HALF_LABEL, INT_LABEL, golden_datum, load_golden
-from test_exhaustive_small import HALF_WINDOW, INTEGRAL_WINDOW, _enumerate_small
+from helpers import (
+    HALF_LABEL,
+    HALF_WINDOW,
+    INT_LABEL,
+    INTEGRAL_WINDOW,
+    enumerate_small,
+    golden_datum,
+    load_golden,
+)
 from test_formula import _gl_band, _random_gl_ladder
 from test_golden_tables import GOLDEN_FILES
 
@@ -34,7 +41,7 @@ ESCAPED_DATUM = LadderDatum.of(
 
 def _data(corpus):
     """The corpus, the exhaustive small sweep, the golden data and a label needing escapes."""
-    small = _enumerate_small(Parity.INTEGRAL, INTEGRAL_WINDOW) + _enumerate_small(
+    small = enumerate_small(Parity.INTEGRAL, INTEGRAL_WINDOW) + enumerate_small(
         Parity.HALF_INTEGRAL, HALF_WINDOW
     )
     golden = [golden_datum(load_golden(name)) for name in GOLDEN_FILES]

@@ -2,23 +2,37 @@
 
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ladderrep import (
     GroupKind,
-    GrothendieckElement,
+    LadderError,
+    Parity,
     TemperedParam,
     TemperedPiece,
     UnsupportedParameterError,
-    gr_combine,
+    determinantal_formula,
     hi,
     project_ps,
     standard_module_of,
     supp_discrete_series,
     supp_ladder,
-    supp_standard_module,
 )
 
-from helpers import HALF_LABEL, INT_LABEL, module, unipotent
+from helpers import (
+    HALF_LABEL,
+    INT_LABEL,
+    LABEL_POOL,
+    exponent_dimension,
+    golden_data,
+    golden_datum,
+    gr_combine,
+    module,
+    of_module,
+    reference_supp_discrete_series,
+    supp_standard_module,
+    unipotent,
+)
 
 
 def param(temp, rho=INT_LABEL, group=None):
@@ -190,6 +204,74 @@ def test_order_independence_on_assembled_parameters(corpus):
 
 
 # ---------------------------------------------------------------------------
+# the one-pass reduction against the rescanning reference
+
+
+def _outcome(supp, t):
+    try:
+        return supp(t)
+    except LadderError as error:
+        return type(error), str(error)
+
+
+def assert_reductions_agree(t):
+    assert _outcome(supp_discrete_series, t) == _outcome(reference_supp_discrete_series, t)
+
+
+def test_reduction_matches_reference_on_reachable_parts(corpus, small_corpus, small_data):
+    data = corpus + small_corpus + small_data + [golden_datum(g) for g in golden_data()]
+    parts = {m.tempered for d in data for m in determinantal_formula(d, projected=False).modules()}
+    for t in parts:
+        assert_reductions_agree(t)
+    assert len(parts) > 500
+
+
+@st.composite
+def tempered_params(draw):
+    """Pieces of positive size on one or two labels, at most one per size;
+    some get a repeated piece or a size-0 piece, which the reduction refuses."""
+    labels = draw(st.lists(st.sampled_from(LABEL_POOL), min_size=1, max_size=2, unique=True))
+    pieces = []
+    for rho in labels:
+        smallest = 1 if rho.parity is Parity.INTEGRAL else 2  # in the label's parity class
+        for k in draw(st.sets(st.integers(0, 8), max_size=7)):
+            pieces.append(TemperedPiece(rho, 2 * k + smallest, draw(st.sampled_from((1, -1)))))
+    extra = draw(st.sampled_from(("none", "none", "repeat", "size-0")))
+    if extra == "repeat" and pieces:
+        pieces.append(draw(st.sampled_from(pieces)))
+    if extra == "size-0" and labels[0].parity is Parity.HALF_INTEGRAL:
+        pieces.append(TemperedPiece(labels[0], 0, draw(st.sampled_from((1, -1)))))
+    dimension = sum(p.rho.d * p.a for p in pieces)
+    return TemperedParam(GroupKind.SP if dimension % 2 else GroupKind.SO_ODD, tuple(pieces))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tempered_params())
+def test_reduction_matches_reference_on_random_parameters(t):
+    assert_reductions_agree(t)
+
+
+def test_reduction_outcomes_agree():
+    # a support, the two refusals, and a core failing the datum clauses;
+    # the remainder clauses cannot fail after the hole rule has run
+    outcomes = [
+        param([("0", 1), ("1", -1), ("2", -1)]),
+        TemperedParam(GroupKind.SO_ODD, (TemperedPiece(HALF_LABEL, 2, 1),) * 2),
+        TemperedParam(
+            GroupKind.SO_ODD, (TemperedPiece(HALF_LABEL, 0, 1), TemperedPiece(HALF_LABEL, 2, 1))
+        ),
+        param([("0", -1), ("2", 1)]),
+    ]
+    for t in outcomes:
+        assert_reductions_agree(t)
+    assert [_outcome(supp_discrete_series, t)[1] for t in outcomes[1:]] == [
+        "label '1': repeated piece of size 2 is unsupported",
+        "parameter must be normalized (no size-0 pieces)",
+        "[global-sign]: sign product over blocks is -1",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # supports of standard modules, projection
 
 
@@ -216,15 +298,15 @@ def test_dimension_conservation(corpus):
     for d in corpus[:80]:
         m = standard_module_of(d)
         s = supp_standard_module(m)
-        total = s.exponent_dimension + s.core.dimension
+        total = exponent_dimension(s) + s.core.dimension
         assert total == 2 * m.rank + m.group.dimension_parity
 
 
 def test_projection_is_idempotent_and_linear(corpus):
     d = unipotent([0, 1, 2], 1, 1)
     target = supp_ladder(d)
-    a = GrothendieckElement.of_module(module(GroupKind.SP, INT_LABEL, [("0", "-2")], [("1", 1)]))
-    b = GrothendieckElement.of_module(
+    a = of_module(module(GroupKind.SP, INT_LABEL, [("0", "-2")], [("1", 1)]))
+    b = of_module(
         module(GroupKind.SP, INT_LABEL, [], [("0", -1), ("1", 1), ("2", -1)])
     )
     mix = gr_combine([(2, a), (3, b)])
