@@ -14,6 +14,7 @@ threaded through assembly rather than raised as an error.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
@@ -38,6 +39,8 @@ class RankMismatchError(LadderError):
 # ---------------------------------------------------------------------------
 # half-integers
 
+_HALFINT_TEXT = re.compile(r"([+-]?[0-9]+)(/2)?")
+
 
 @functools.total_ordering
 @dataclass(frozen=True)
@@ -56,14 +59,20 @@ class HalfInt:
 
     @staticmethod
     def parse(text: str) -> "HalfInt":
-        """Read an integer ``"n"`` or a fraction ``"m/2"`` with ``m`` odd."""
-        s = text.strip().replace("−", "-")
-        if s.endswith("/2"):
-            twice = int(s[:-2])
-            if twice % 2 == 0:
-                raise ValueError(f"{text!r}: a fraction over 2 needs an odd numerator")
-            return HalfInt(twice)
-        return HalfInt(2 * int(s))
+        """Read an integer ``"n"`` or a fraction ``"m/2"`` with ``m`` odd.
+
+        The numbers are ASCII decimal digits with an optional sign and no
+        inner spaces or underscores.
+        """
+        match = _HALFINT_TEXT.fullmatch(text.strip().replace("−", "-"))
+        if match is None:
+            raise ValueError(f"{text!r}: expected an integer or a fraction over 2")
+        number, over_two = match.groups()
+        if over_two is None:
+            return HalfInt(2 * int(number))
+        if int(number) % 2 == 0:
+            raise ValueError(f"{text!r}: a fraction over 2 needs an odd numerator")
+        return HalfInt(int(number))
 
     @property
     def is_integer(self) -> bool:

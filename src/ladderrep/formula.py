@@ -66,14 +66,22 @@ class SigmaElement:
         return self.perms
 
 
-def _block_perms(block: DatumBlock) -> list[tuple[int, ...]]:
+def _zones(
+    block: DatumBlock,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """The zones of a block's admissible permutations, in lexicographic order.
+
+    Yields the paired zone A, the middle zone B and the remaining indices C,
+    each increasing; the permutations are ``A + B + tail`` over the
+    permutations ``tail`` of C.  Strongly negative exponents are confined to
+    A, and the -1/2 exponent of a sign -1 block is barred from B.
+    """
     t, l = block.t, block.l
     indices = range(1, t + 1)
     confined = {i for i in indices if block.x(i).twice <= -2}
     banned_middle = set(confined)
     if block.eta == -1:
         banned_middle |= {i for i in indices if block.x(i) == MINUS_HALF}
-    out = []
     for zone_a in itertools.combinations(indices, l):
         if not confined <= set(zone_a):
             continue
@@ -81,10 +89,11 @@ def _block_perms(block: DatumBlock) -> list[tuple[int, ...]]:
         for zone_b in itertools.combinations(rest, t - 2 * l):
             if banned_middle & set(zone_b):
                 continue
-            pool = [i for i in rest if i not in zone_b]
-            for tail in itertools.permutations(pool):
-                out.append(zone_a + zone_b + tail)
-    return out
+            yield zone_a, zone_b, tuple(i for i in rest if i not in zone_b)
+
+
+def _block_perms(block: DatumBlock) -> list[tuple[int, ...]]:
+    return [a + b + tail for a, b, c in _zones(block) for tail in itertools.permutations(c)]
 
 
 def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
@@ -103,6 +112,48 @@ def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
     return out
 
 
+def _pair(xs: Sequence[int], low: int, high: int) -> tuple[bool, int, int]:
+    """Read the pair ``(low, high)`` of a block permutation, exponents doubled.
+
+    With ``low < high`` the pair is kept in Langlands position as the
+    segment ``(x, y) = (x_low, -x_high)``: returns ``(True, x, y)``.
+    Otherwise it is inverted into two pieces of sizes ``a1, a2``: returns
+    ``(False, a1, a2)``.
+    """
+    if low < high:
+        return True, xs[low - 1], -xs[high - 1]
+    a1, a2 = xs[low - 1] + 1, xs[high - 1] + 1
+    if min(a1, a2) < 0:
+        raise AssertionError("negative piece size escaped the membership constraints")
+    return False, a1, a2
+
+
+def _middle(xs: Sequence[int], eta: int, zone: Sequence[int]) -> list[tuple[int, int]]:
+    """The pieces ``(a, sign)`` of the middle zone, signs alternating from ``eta``."""
+    fixed = [(xs[i - 1] + 1, eta if k % 2 == 0 else -eta) for k, i in enumerate(zone)]
+    if any(a < 0 for a, _ in fixed):
+        raise AssertionError("negative piece size escaped the membership constraints")
+    return fixed
+
+
+def _pair_choices(a1: int, a2: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The pieces ``(a, sign)`` of an inverted pair under each sign choice, +1 before -1."""
+    return [((a1, sign), (a2, sign)) for sign in (1, -1)]
+
+
+def _piece_keys(
+    rid: str, pieces: Sequence[tuple[int, int]]
+) -> tuple[tuple[str, int, int], ...] | None:
+    """The keys ``(label id, a, -sign)`` of pieces ``(a, sign)``, unsorted.
+
+    None when a size-0 piece of sign -1 leaves the summand out; size-0
+    pieces of sign +1 are dropped.
+    """
+    if (0, -1) in pieces:
+        return None
+    return tuple((rid, a, -sign) for a, sign in pieces if a)
+
+
 def _block_parts(
     block: DatumBlock, perm: Sequence[int]
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
@@ -112,31 +163,22 @@ def _block_parts(
     the piece sizes ``(a1, a2)`` of the inverted pairs, and the middle
     pieces ``(a, sign)``.
     """
-    t, l, eta = block.t, block.l, block.eta
+    t, l = block.t, block.l
     xs = [x.twice for x in block.exponents]
     segments = []
     pairs = []
     for j in range(l):
-        low, high = perm[j], perm[t - 1 - j]
-        if low < high:
-            segments.append((xs[low - 1], -xs[high - 1]))
-        else:
-            pairs.append((xs[low - 1] + 1, xs[high - 1] + 1))
-    fixed = [(xs[perm[i] - 1] + 1, eta if (i - l) % 2 == 0 else -eta) for i in range(l, t - l)]
-    if any(min(pair) < 0 for pair in pairs) or any(a < 0 for a, _ in fixed):
-        raise AssertionError("negative piece size escaped the membership constraints")
-    return segments, pairs, fixed
+        kept, u, v = _pair(xs, perm[j], perm[t - 1 - j])
+        (segments if kept else pairs).append((u, v))
+    return segments, pairs, _middle(xs, block.eta, perm[l : t - l])
 
 
 def _sign_choices(
     pairs: list[tuple[int, int]], fixed: list[tuple[int, int]]
 ) -> Iterator[list[tuple[int, int]]]:
     """The pieces ``(a, sign)`` under each sign choice, +1 before -1 per pair."""
-    for delta in itertools.product((1, -1), repeat=len(pairs)):
-        pieces = list(fixed)
-        for (a1, a2), sign in zip(pairs, delta):
-            pieces += ((a1, sign), (a2, sign))
-        yield pieces
+    for chosen in itertools.product(*(_pair_choices(a1, a2) for a1, a2 in pairs)):
+        yield list(itertools.chain(fixed, *chosen))
 
 
 def assemble_i_sigma(
@@ -166,6 +208,14 @@ def assemble_i_sigma(
     ]
 
 
+# One pair's share: None for a zero Steinberg factor; a tuple of segment keys,
+# empty for a unit factor; or, for an inverted pair, a list of its piece keys
+# under each sign choice that survives, +1 before -1.
+_PairShare = (
+    tuple[tuple[int, int, str, int], ...] | list[tuple[tuple[str, int, int], ...]] | None
+)
+
+
 def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
     """One block's shares of the summands, summed with the permutation signs.
 
@@ -173,20 +223,71 @@ def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
     of :meth:`StandardModule.sort_key`.  The degeneracy conventions apply:
     a zero Steinberg factor or a size-0 piece of sign -1 leaves the summand
     out, and unit factors and size-0 pieces of sign +1 are dropped.
+
+    The walk reads a table instead of each permutation.  Permutation
+    ``A + B + tail`` (see :func:`_zones`) pairs ``A[j]`` with
+    ``tail[l-1-j]``, so each (low, high) pair's share is computed once, on
+    first reading, and each middle zone's piece keys once per zone.  A
+    permutation's sign is the sign of ``A + B + C`` times the sign of its
+    tail's rearrangement of C, one of ``l!`` read from a table.  The result
+    equals summing the shares of every permutation of :func:`_block_perms`
+    in turn: same keys, same coefficients (0 included), same first-seen
+    order.
     """
+    l = block.l
     rid = block.rho.id
+    xs = [x.twice for x in block.exponents]
+    table: dict[tuple[int, int], _PairShare] = {}
 
-    def shares(perm: tuple[int, ...]) -> Iterator[tuple[ModuleKey, int]]:
-        segments, pairs, fixed = _block_parts(block, perm)
-        if any(y > x + 2 for x, y in segments):
-            return
-        sign = permutation_sign(perm)
-        seg_keys = tuple(sorted([(x + y, x, rid, y) for x, y in segments if y <= x]))
-        for pieces in _sign_choices(pairs, fixed):
-            if (0, -1) not in pieces:
-                yield (seg_keys, tuple(sorted([(rid, a, -s) for a, s in pieces if a]))), sign
+    def pair(low: int, high: int) -> _PairShare:
+        """The share of pair ``(low, high)``, computed on its first reading."""
+        if (low, high) in table:
+            return table[low, high]
+        kept, u, v = _pair(xs, low, high)
+        entry: _PairShare
+        if not kept:
+            choices = (_piece_keys(rid, pieces) for pieces in _pair_choices(u, v))
+            entry = [keys for keys in choices if keys is not None]
+        elif v > u + 2:
+            entry = None
+        else:
+            entry = ((u + v, u, rid, v),) if v <= u else ()
+        table[low, high] = entry
+        return entry
 
-    return sum_coefficients(item for perm in _block_perms(block) for item in shares(perm))
+    middles: dict[tuple[int, ...], tuple[tuple[str, int, int], ...] | None] = {}
+    tails = list(itertools.permutations(range(1, l + 1)))
+    tail_signs = [permutation_sign(tail) for tail in tails]
+    # the position in C of the high end of each pair j, per tail
+    columns = [tuple(tail[l - 1 - j] - 1 for j in range(l)) for tail in tails]
+    acc: dict[ModuleKey, int] = {}
+    for zone_a, zone_b, zone_c in _zones(block):
+        # every pair some tail reads, each checked even if a zero factor skips its tail
+        rows = [[pair(a, c) for c in zone_c] for a in zone_a]
+        if zone_b not in middles:
+            middles[zone_b] = _piece_keys(rid, _middle(xs, block.eta, zone_b))
+        middle = middles[zone_b]
+        if middle is None:
+            continue
+        base = permutation_sign(zone_a + zone_b + zone_c)
+        for column, tail_sign in zip(columns, tail_signs):
+            segments: list[tuple[int, int, str, int]] = []
+            inverted = []
+            for row, c in zip(rows, column):
+                entry = row[c]
+                if entry is None:
+                    break
+                if isinstance(entry, tuple):
+                    segments += entry
+                else:
+                    inverted.append(entry)
+            else:
+                seg_keys = tuple(sorted(segments))
+                sign = base * tail_sign
+                for chosen in itertools.product(*inverted):
+                    key = (seg_keys, tuple(sorted(sum(chosen, middle))))
+                    acc[key] = acc.get(key, 0) + sign
+    return acc
 
 
 def _join(key: ModuleKey, share: ModuleKey) -> ModuleKey:
@@ -246,15 +347,16 @@ def determinantal_formula(d: LadderDatum, projected: bool = True) -> Grothendiec
     The sum runs over the integer keys of :meth:`StandardModule.sort_key`
     instead of assembled summands.  The permutation tuples are products of
     per-block permutations, so the sum is the product of the per-block sums
-    of shares (:func:`_block_shares`).  Every distinct key, coefficient 0
-    included, passes :func:`check_module_key`.  The nonzero keys are sorted,
+    of shares (:func:`_block_shares`, a table walk), starting from the first
+    block's shares.  Every distinct key, coefficient 0 included, passes
+    :func:`check_module_key`.  The nonzero keys are sorted,
     the projection keeps those whose support is the ladder's, and a module
     is built only for each key kept.  This equals summing
     :func:`assemble_i_sigma` over :func:`enumerate_sigma`, then projecting.
     """
     rank = validate_datum(d)
-    terms: dict[ModuleKey, int] = {((), ()): 1}
-    for block in d.blocks:
+    terms: dict[ModuleKey, int] = _block_shares(d.blocks[0]) if d.blocks else {((), ()): 1}
+    for block in d.blocks[1:]:
         shares = _block_shares(block)
         terms = {_join(k, share): c * s for k, c in terms.items() for share, s in shares.items()}
     labels = {b.rho.id: b.rho for b in d.blocks}

@@ -117,15 +117,18 @@ def _reduce_label(
 
 
 def _tail(
-    group: GroupKind, pieces: Iterable[tuple[CuspidalLabel, int, int]], reductions: dict
+    group: GroupKind,
+    pieces: Iterable[tuple[CuspidalLabel, int, int]],
+    reductions: dict,
+    cores: dict,
 ) -> tuple[dict[CuspidalLabel, list[int]], LadderDatum]:
     """Support of a multiplicity-free, size-0-free tempered part.
 
     The pieces ``(label, size, sign)`` come in :meth:`TemperedPiece.sort_key`
     order.  Returns the doubled exponents per label and the validated core,
-    not yet in canonical form.  ``reductions`` memoizes
-    :func:`_reduce_label` per (label, pieces) for as long as the caller
-    keeps it.
+    not yet in canonical form.  For as long as the caller keeps them,
+    ``reductions`` memoizes :func:`_reduce_label` per (label, pieces) and
+    ``cores`` the validated core per (group, core blocks).
     """
     by_label: dict[CuspidalLabel, list[tuple[int, int]]] = {}
     for rho, a, sign in pieces:
@@ -149,14 +152,18 @@ def _tail(
             exponents[rho] = collected
         if core_block is not None:
             blocks.append(core_block)
-    core = LadderDatum.of(group, blocks)
-    validate_datum(core)
+    key = (group, tuple(blocks))
+    core = cores.get(key)
+    if core is None:
+        core = LadderDatum.of(group, blocks)
+        validate_datum(core)
+        cores[key] = core
     return exponents, core
 
 
 def supp_discrete_series(t: TemperedParam) -> SupportMultiset:
     """Support of a multiplicity-free, size-0-free tempered parameter."""
-    exponents, core = _tail(t.group, [(p.rho, p.a, p.sign) for p in t.pieces], {})
+    exponents, core = _tail(t.group, [(p.rho, p.a, p.sign) for p in t.pieces], {}, {})
     return SupportMultiset.of(
         {rho: [HalfInt(v) for v in values] for rho, values in exponents.items()}, core
     )
@@ -169,7 +176,7 @@ class SupportFilter:
     ``[x, y]``, the exponents ``x..y`` and their negatives; exponents are
     compared as sorted doubled integers per label id.  The support of each
     distinct tempered part, and of each label's piece set, is computed once
-    per filter.
+    per filter, and each distinct core is validated once.
     """
 
     def __init__(self, target: SupportMultiset) -> None:
@@ -177,6 +184,7 @@ class SupportFilter:
         self.wanted = {rho.id: [v.twice for v in values] for rho, values in target.exponents}
         self.tails: dict[Hashable, dict[str, list[int]] | None] = {}
         self.reductions: dict = {}
+        self.cores: dict = {}
 
     def keeps(
         self,
@@ -193,7 +201,7 @@ class SupportFilter:
         if tail_key in self.tails:
             tail = self.tails[tail_key]
         else:
-            exponents, core = _tail(group, pieces, self.reductions)
+            exponents, core = _tail(group, pieces, self.reductions, self.cores)
             tail = self.tails[tail_key] = (
                 {rho.id: values for rho, values in exponents.items()}
                 if canonical_form(core) == self.core

@@ -42,7 +42,7 @@ from ladderrep import (
     validate_datum,
 )
 from ladderrep.core import sum_coefficients
-from ladderrep.formula import permutation_sign
+from ladderrep.formula import _block_parts, _block_perms, _sign_choices, permutation_sign
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -388,6 +388,31 @@ def reference_expansion(d: LadderDatum, projected: bool) -> GrothendieckElement:
             rank, [(m, c) for m, c in element.terms if supp_standard_module(m) == target]
         )
     return element
+
+
+def reference_block_shares(block: DatumBlock) -> dict[tuple, int]:
+    """One block's shares of the summands, summed with the permutation signs.
+
+    A share is a pair (segment keys, piece keys), each sorted, in the form
+    of :meth:`StandardModule.sort_key`.  The degeneracy conventions apply:
+    a zero Steinberg factor or a size-0 piece of sign -1 leaves the summand
+    out, and unit factors and size-0 pieces of sign +1 are dropped.  The
+    reference for ``formula._block_shares``: each permutation is read in
+    turn.
+    """
+    rid = block.rho.id
+
+    def shares(perm: tuple[int, ...]) -> Iterator[tuple[tuple, int]]:
+        segments, pairs, fixed = _block_parts(block, perm)
+        if any(y > x + 2 for x, y in segments):
+            return
+        sign = permutation_sign(perm)
+        seg_keys = tuple(sorted([(x + y, x, rid, y) for x, y in segments if y <= x]))
+        for pieces in _sign_choices(pairs, fixed):
+            if (0, -1) not in pieces:
+                yield (seg_keys, tuple(sorted([(rid, a, -s) for a, s in pieces if a]))), sign
+
+    return sum_coefficients(item for perm in _block_perms(block) for item in shares(perm))
 
 
 def gl_combination_from_items(items: Iterable[tuple[tuple[Segment, ...], int]]) -> GLCombination:

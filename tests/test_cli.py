@@ -111,6 +111,13 @@ def test_validate_rejects_non_canonical_fractions(capsys):
     assert run_cli(capsys, "validate", json.dumps(half))[0] == 0
 
 
+@pytest.mark.parametrize("x", ["1_0", "1_1/2", "\u0663", " 3 /2"])
+def test_validate_rejects_non_ascii_decimal_exponents(capsys, x):
+    # int() would read these as 10, 11/2, 3 and 3/2
+    code, out, err = run_cli(capsys, "validate", json.dumps(dict(DATUM, X=["0", "1", x])))
+    assert code == 2 and out == "" and err.startswith("input error:") and "bad fraction string" in err
+
+
 @pytest.mark.parametrize("text", ["[1]", " [1]", "[]", '[{"group": "Sp"}]'])
 def test_inline_json_array_is_not_a_path(capsys, tmp_path, text):
     code, out, err = run_cli(capsys, "validate", text)

@@ -50,7 +50,13 @@ def test_halfint_parse_forms():
     assert str(hi("-3/2")) == "-3/2"
     assert hi("2") + 1 == hi("3")
     assert hi("1/2") - 1 == hi("-1/2")
+    assert hi(" +3 ").twice == 6
+    assert hi("\u22125/2").twice == -5
     for text in ("4/2", "0/2", "-2/2"):
+        with pytest.raises(ValueError):
+            hi(text)
+    # only ASCII decimal digits, with no inner spaces or underscores
+    for text in ("1_0", "1_1/2", "\u0663", "\u0663/2", " 3 /2", "3/ 2", "- 3", "3.0", "", "/2", "0x3"):
         with pytest.raises(ValueError):
             hi(text)
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ladderrep import (
+    DatumBlock,
     GLLadder,
     GroupKind,
     GrothendieckElement,
@@ -40,6 +41,7 @@ from helpers import (
     golden_data,
     golden_datum,
     module,
+    reference_block_shares,
     reference_expansion,
     reference_gl_expansion,
     unipotent,
@@ -214,6 +216,46 @@ def test_expansion_matches_reference(corpus, small_corpus, projected):
     golden = [golden_datum(data) for data in golden_data()]
     for d in corpus + small_corpus + golden:
         assert determinantal_formula(d, projected) == reference_expansion(d, projected)
+
+
+def _block(label, xs, l, eta):
+    return DatumBlock(label, tuple(hi(x) for x in xs), l, eta)
+
+
+BRANCH_BLOCKS = [
+    # zero and unit factors, confined exponents <= -1
+    _block(INT_LABEL, ["-2", "-1", "0", "1", "2", "3", "4"], 2, -1),
+    # a unit factor only
+    _block(INT_LABEL, ["-1", "0", "1"], 1, 1),
+    # a size-0 piece in an inverted pair (its -1 choice is absent), and one
+    # of sign +1 in the middle zone (dropped)
+    _block(HALF_LABEL, ["-1/2", "1/2", "3/2"], 1, 1),
+    # eta = -1 with a -1/2 exponent, barred from the middle zone
+    _block(HALF_LABEL, ["-1/2", "1/2", "3/2", "5/2", "7/2"], 1, -1),
+    # a size-0 piece of sign -1 in the middle zone kills the whole zone; no
+    # valid datum reaches it (its exponents do not increase), the walk must agree anyway
+    _block(HALF_LABEL, ["1/2", "-1/2", "3/2", "5/2"], 1, 1),
+    _block(INT_LABEL, ["0", "1", "2"], 0, -1),  # l = 0
+    _block(INT_LABEL, ["0", "1", "2", "3"], 2, -1),  # 2l = t
+]
+
+
+def test_block_shares_matches_reference(corpus, small_corpus, small_data):
+    # the table walk gives the same keys, coefficients (0 included) and first-seen order
+    golden = [golden_datum(data) for data in golden_data()]
+    blocks = [b for d in corpus + small_corpus + small_data + golden for b in d.blocks]
+    for block in blocks + BRANCH_BLOCKS:
+        assert list(_block_shares(block).items()) == list(reference_block_shares(block).items())
+
+
+def test_negative_piece_size_asserts_under_a_zero_factor():
+    # no valid datum reaches a negative piece size; on this block every
+    # permutation has a zero factor in its first pair, and the pair (3, 2)
+    # of some of them is inverted into a piece of size -3
+    block = _block(INT_LABEL, ["-3", "0", "-2", "1", "1"], 2, 1)
+    for shares in (_block_shares, reference_block_shares):
+        with pytest.raises(AssertionError, match="negative piece size"):
+            shares(block)
 
 
 def test_modules_built_track_the_output(monkeypatch):

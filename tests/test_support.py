@@ -18,6 +18,7 @@ from ladderrep import (
     supp_discrete_series,
     supp_ladder,
 )
+from ladderrep import support as support_module
 
 from helpers import (
     HALF_LABEL,
@@ -317,3 +318,19 @@ def test_projection_is_idempotent_and_linear(corpus):
     )
     assert once.coefficient(a.modules()[0]) == 2
     assert len(once) == 1
+
+
+def test_each_distinct_core_validated_once(monkeypatch):
+    # the tempered parts of an expansion share few cores; each is checked once
+    cores = []
+    validate = support_module.validate_datum
+
+    def counting_validate(d):
+        cores.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(support_module, "validate_datum", counting_validate)
+    d = unipotent(range(8), 2, 1)
+    projected = determinantal_formula(d)
+    assert len(projected) > len(cores) > 0
+    assert len(set(cores)) == len(cores)
