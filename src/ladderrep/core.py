@@ -214,18 +214,29 @@ class Segment:
         return (self.x.twice + self.y.twice, self.x.twice, self.rho.id, self.y.twice)
 
 
-def steinberg_product(segments: Iterable[Segment]) -> tuple[Segment, ...] | ZeroRep:
-    """Normalize a product of Steinberg factors under the degeneracy conventions.
+def factor_key(rid: str, x: int, y: int) -> tuple[tuple[int, int, str, int], ...] | None:
+    """The Steinberg factor ``[x, y]`` of label ``rid``, exponents doubled.
 
-    A segment with x >= y is a proper factor and is kept, y = x+1 is the unit
-    factor and is dropped, and y > x+1 is zero and absorbs the whole product.
-    The kept factors are sorted by :meth:`Segment.sort_key`.
+    A segment with x >= y is a proper factor, ``(key,)`` with the key in
+    :meth:`Segment.sort_key` form; y = x+1 is the unit factor ``()``; y >
+    x+1 is zero, None.
+    """
+    if y > x + 2:
+        return None
+    return ((x + y, x, rid, y),) if y <= x else ()
+
+
+def steinberg_product(segments: Iterable[Segment]) -> tuple[Segment, ...] | ZeroRep:
+    """Normalize a product of Steinberg factors under :func:`factor_key`:
+    proper factors are kept, sorted by :meth:`Segment.sort_key`, units are
+    dropped, and a zero factor absorbs the whole product.
     """
     kept: list[Segment] = []
     for seg in segments:
-        if seg.y.twice > seg.x.twice + 2:
+        key = factor_key(seg.rho.id, seg.x.twice, seg.y.twice)
+        if key is None:
             return ZERO_REP
-        if seg.y.twice <= seg.x.twice:
+        if key:
             kept.append(seg)
     kept.sort(key=Segment.sort_key)
     return tuple(kept)

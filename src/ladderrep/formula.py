@@ -14,6 +14,7 @@ the general-linear case.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -28,11 +29,11 @@ from .core import (
     StandardModule,
     TemperedParam,
     TemperedPiece,
+    ZERO_REP,
     ZeroRep,
     check_module_key,
+    factor_key,
     is_zero,
-    make_standard_module,
-    steinberg_product,
     sum_coefficients,
 )
 from .datum import DatumBlock, LadderDatum, MINUS_HALF, validate_datum
@@ -102,43 +103,11 @@ def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
     ``itertools`` yields combinations, permutations of a sorted pool and
     products in lexicographic order, so no sort is needed.
     """
-    per_block = [_block_perms(b) for b in d.blocks]
-    out = []
-    for combo in itertools.product(*per_block):
-        sign = 1
-        for perm in combo:
-            sign *= permutation_sign(perm)
-        out.append(SigmaElement(tuple(combo), sign))
-    return out
-
-
-def _pair(xs: Sequence[int], low: int, high: int) -> tuple[bool, int, int]:
-    """Read the pair ``(low, high)`` of a block permutation, exponents doubled.
-
-    With ``low < high`` the pair is kept in Langlands position as the
-    segment ``(x, y) = (x_low, -x_high)``: returns ``(True, x, y)``.
-    Otherwise it is inverted into two pieces of sizes ``a1, a2``: returns
-    ``(False, a1, a2)``.
-    """
-    if low < high:
-        return True, xs[low - 1], -xs[high - 1]
-    a1, a2 = xs[low - 1] + 1, xs[high - 1] + 1
-    if min(a1, a2) < 0:
-        raise AssertionError("negative piece size escaped the membership constraints")
-    return False, a1, a2
-
-
-def _middle(xs: Sequence[int], eta: int, zone: Sequence[int]) -> list[tuple[int, int]]:
-    """The pieces ``(a, sign)`` of the middle zone, signs alternating from ``eta``."""
-    fixed = [(xs[i - 1] + 1, eta if k % 2 == 0 else -eta) for k, i in enumerate(zone)]
-    if any(a < 0 for a, _ in fixed):
-        raise AssertionError("negative piece size escaped the membership constraints")
-    return fixed
-
-
-def _pair_choices(a1: int, a2: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The pieces ``(a, sign)`` of an inverted pair under each sign choice, +1 before -1."""
-    return [((a1, sign), (a2, sign)) for sign in (1, -1)]
+    per_block = [[(perm, permutation_sign(perm)) for perm in _block_perms(b)] for b in d.blocks]
+    return [
+        SigmaElement(tuple(perm for perm, _ in combo), math.prod(sign for _, sign in combo))
+        for combo in itertools.product(*per_block)
+    ]
 
 
 def _piece_keys(
@@ -149,36 +118,44 @@ def _piece_keys(
     None when a size-0 piece of sign -1 leaves the summand out; size-0
     pieces of sign +1 are dropped.
     """
+    if any(a < 0 for a, _ in pieces):
+        raise AssertionError("negative piece size escaped the membership constraints")
     if (0, -1) in pieces:
         return None
     return tuple((rid, a, -sign) for a, sign in pieces if a)
 
 
-def _block_parts(
-    block: DatumBlock, perm: Sequence[int]
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """Read one block permutation into integer parts, exponents doubled.
+def _middle_keys(
+    xs: Sequence[int], rid: str, eta: int, zone: Sequence[int]
+) -> tuple[tuple[str, int, int], ...] | None:
+    """The piece keys of the middle zone, signs alternating from ``eta``."""
+    pieces = [(xs[i - 1] + 1, eta if k % 2 == 0 else -eta) for k, i in enumerate(zone)]
+    return _piece_keys(rid, pieces)
 
-    Returns the segments ``(x, y)`` of the pairs kept in Langlands position,
-    the piece sizes ``(a1, a2)`` of the inverted pairs, and the middle
-    pieces ``(a, sign)``.
+
+# One pair's share: None for a zero Steinberg factor; a tuple of segment keys,
+# empty for a unit factor; or, for an inverted pair, a list of its piece keys
+# under each sign choice, +1 before -1.
+_PairShare = (
+    tuple[tuple[int, int, str, int], ...]
+    | list[tuple[tuple[str, int, int], ...] | None]
+    | None
+)
+
+
+def _pair_share(xs: Sequence[int], rid: str, low: int, high: int) -> _PairShare:
+    """Read the pair ``(low, high)`` of a block permutation, exponents doubled.
+
+    With ``low < high`` the pair is kept in Langlands position as the
+    Steinberg factor ``[x_low, -x_high]``: its :func:`factor_key`.
+    Otherwise it is inverted into two pieces of sizes ``x_low + 1`` and
+    ``x_high + 1`` of one sign: the piece keys of each sign choice, +1 before
+    -1, None for a choice that leaves the summand out.
     """
-    t, l = block.t, block.l
-    xs = [x.twice for x in block.exponents]
-    segments = []
-    pairs = []
-    for j in range(l):
-        kept, u, v = _pair(xs, perm[j], perm[t - 1 - j])
-        (segments if kept else pairs).append((u, v))
-    return segments, pairs, _middle(xs, block.eta, perm[l : t - l])
-
-
-def _sign_choices(
-    pairs: list[tuple[int, int]], fixed: list[tuple[int, int]]
-) -> Iterator[list[tuple[int, int]]]:
-    """The pieces ``(a, sign)`` under each sign choice, +1 before -1 per pair."""
-    for chosen in itertools.product(*(_pair_choices(a1, a2) for a1, a2 in pairs)):
-        yield list(itertools.chain(fixed, *chosen))
+    if low < high:
+        return factor_key(rid, xs[low - 1], -xs[high - 1])
+    a1, a2 = xs[low - 1] + 1, xs[high - 1] + 1
+    return [_piece_keys(rid, ((a1, sign), (a2, sign))) for sign in (1, -1)]
 
 
 def assemble_i_sigma(
@@ -188,32 +165,31 @@ def assemble_i_sigma(
 
     Summands are listed over sign choices on the inverted pairs, +1 before
     -1 per pair, pairs ordered by block then pair index; convention-killed
-    summands appear as the zero sentinel.
+    summands appear as the zero sentinel.  Every pair is read, each
+    summand's key passes :func:`check_module_key`, and its module is built
+    from the key.
     """
-    segments: list[Segment] = []
-    choices: list[list[list[TemperedPiece]]] = []  # per block, per sign choice
+    segments: list[_PairShare] = []  # per kept pair
+    choices: list[list] = []  # per inverted pair and middle zone, the keys of each choice
     for block, perm in zip(d.blocks, sigma.perms):
-        rho = block.rho
-        block_segments, pairs, fixed = _block_parts(block, perm)
-        segments += (Segment(rho, HalfInt(x), HalfInt(y)) for x, y in block_segments)
-        choices.append(
-            [
-                [TemperedPiece(rho, a, sign) for a, sign in pieces]
-                for pieces in _sign_choices(pairs, fixed)
-            ]
-        )
-    return [
-        make_standard_module(segments, TemperedParam(d.group, tuple(itertools.chain(*pieces))))
-        for pieces in itertools.product(*choices)
+        t, l, rid = block.t, block.l, block.rho.id
+        xs = [x.twice for x in block.exponents]
+        for j in range(l):
+            share = _pair_share(xs, rid, perm[j], perm[t - 1 - j])
+            (choices if isinstance(share, list) else segments).append(share)
+        choices.append([_middle_keys(xs, rid, block.eta, perm[l : t - l])])
+    killed = None in segments
+    seg_keys = () if killed else tuple(sorted(itertools.chain(*segments)))  # type: ignore[arg-type]
+    keys = [
+        None if killed or None in chosen else (seg_keys, tuple(sorted(itertools.chain(*chosen))))
+        for chosen in itertools.product(*choices)
     ]
-
-
-# One pair's share: None for a zero Steinberg factor; a tuple of segment keys,
-# empty for a unit factor; or, for an inverted pair, a list of its piece keys
-# under each sign choice that survives, +1 before -1.
-_PairShare = (
-    tuple[tuple[int, int, str, int], ...] | list[tuple[tuple[str, int, int], ...]] | None
-)
+    labels = {b.rho.id: b.rho for b in d.blocks}
+    for key in keys:
+        if key:
+            check_module_key(d.group, labels, key)
+    built = iter(_terms_of_keys(d.group, labels, [(key, 1) for key in keys if key]))
+    return [next(built)[0] if key else ZERO_REP for key in keys]
 
 
 def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
@@ -227,12 +203,12 @@ def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
     The walk reads a table instead of each permutation.  Permutation
     ``A + B + tail`` (see :func:`_zones`) pairs ``A[j]`` with
     ``tail[l-1-j]``, so each (low, high) pair's share is computed once, on
-    first reading, and each middle zone's piece keys once per zone.  A
-    permutation's sign is the sign of ``A + B + C`` times the sign of its
-    tail's rearrangement of C, one of ``l!`` read from a table.  The result
-    equals summing the shares of every permutation of :func:`_block_perms`
-    in turn: same keys, same coefficients (0 included), same first-seen
-    order.
+    first reading, with the killed sign choices dropped, and each middle
+    zone's piece keys once per zone.  A permutation's sign is the sign of
+    ``A + B + C`` times the sign of its tail's rearrangement of C, one of
+    ``l!`` read from a table.  The result equals summing the shares of every
+    permutation of :func:`_block_perms` in turn: same keys, same
+    coefficients (0 included), same first-seen order.
     """
     l = block.l
     rid = block.rho.id
@@ -241,19 +217,12 @@ def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
 
     def pair(low: int, high: int) -> _PairShare:
         """The share of pair ``(low, high)``, computed on its first reading."""
-        if (low, high) in table:
-            return table[low, high]
-        kept, u, v = _pair(xs, low, high)
-        entry: _PairShare
-        if not kept:
-            choices = (_piece_keys(rid, pieces) for pieces in _pair_choices(u, v))
-            entry = [keys for keys in choices if keys is not None]
-        elif v > u + 2:
-            entry = None
-        else:
-            entry = ((u + v, u, rid, v),) if v <= u else ()
-        table[low, high] = entry
-        return entry
+        if (low, high) not in table:
+            share = _pair_share(xs, rid, low, high)
+            if isinstance(share, list):
+                share = [keys for keys in share if keys is not None]
+            table[low, high] = share
+        return table[low, high]
 
     middles: dict[tuple[int, ...], tuple[tuple[str, int, int], ...] | None] = {}
     tails = list(itertools.permutations(range(1, l + 1)))
@@ -265,7 +234,7 @@ def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
         # every pair some tail reads, each checked even if a zero factor skips its tail
         rows = [[pair(a, c) for c in zone_c] for a in zone_a]
         if zone_b not in middles:
-            middles[zone_b] = _piece_keys(rid, _middle(xs, block.eta, zone_b))
+            middles[zone_b] = _middle_keys(xs, rid, block.eta, zone_b)
         middle = middles[zone_b]
         if middle is None:
             continue
@@ -428,26 +397,25 @@ def gl_determinantal_formula(g: GLLadder) -> GLCombination:
     product's kept factors name their rows and columns, and each remaining
     row, a unit factor ``[x_i, x_i + 1]``, names its column; a product
     comes from one permutation only.  Products are merged and sorted under
-    integer keys in :meth:`Segment.sort_key` order, and each is then built
-    once by :func:`steinberg_product`.
+    their factors' :func:`factor_key`, and each segment of the output is
+    then built once.
     """
     t = g.t
-    factors = [[Segment(g.rho, x, y) for _, y in g.segments] for x, _ in g.segments]
-    # per row, each factor before the first zero one: its sort key, or None for a unit
-    keys: list[list[tuple[int, int, int] | None]] = []
-    for row in factors:
+    rid = g.rho.id
+    # per row, each factor before the first zero one: its key, or None for a unit
+    keys: list[list[tuple[int, int, str, int] | None]] = []
+    for x, _ in g.segments:
         keys.append([])
-        for f in row:
-            kept = steinberg_product((f,))
-            if is_zero(kept):
+        for _, y in g.segments:
+            factor = factor_key(rid, x.twice, y.twice)
+            if factor is None:
                 break
-            keys[-1].append((f.x.twice + f.y.twice, f.x.twice, f.y.twice) if kept else None)
+            keys[-1].append(factor[0] if factor else None)
     # the prefixes grow with i, so rows 0..i need i + 1 columns among row i's prefix
     if any(len(row) <= i for i, row in enumerate(keys)):
         return GLCombination(())
-    segment_of = {k: f for row, krow in zip(factors, keys) for f, k in zip(row, krow) if k}
     used = [False] * t
-    chosen: list[tuple[int, int, int]] = []
+    chosen: list[tuple[int, int, str, int]] = []
 
     def walk(i: int, sign: int) -> Iterator[tuple[tuple, int]]:
         if i == t:
@@ -464,11 +432,7 @@ def gl_determinantal_formula(g: GLLadder) -> GLCombination:
                 chosen.pop()
             used[j] = False
 
-    terms = sum_coefficients(walk(0, 1))
-    return GLCombination(
-        tuple(
-            (steinberg_product(segment_of[k] for k in key), c)  # type: ignore[misc]
-            for key, c in sorted(terms.items())
-            if c != 0
-        )
-    )
+    output = [(key, c) for key, c in sorted(sum_coefficients(walk(0, 1)).items()) if c != 0]
+    distinct = {k for key, _ in output for k in key}
+    segment = {k: Segment(g.rho, HalfInt(k[1]), HalfInt(k[3])) for k in distinct}
+    return GLCombination(tuple((tuple(segment[k] for k in key), c) for key, c in output))

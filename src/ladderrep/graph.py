@@ -52,10 +52,7 @@ class GraphRow:
         return self.right < self.left
 
     def abscissas(self) -> Iterator[HalfInt]:
-        v = self.right
-        while not v < self.left:
-            yield v
-            v = v - 1
+        return (HalfInt(v) for v in range(self.right.twice, self.left.twice - 1, -2))
 
 
 @dataclass(frozen=True)
@@ -103,12 +100,18 @@ class LadderGraph:
         assert uncolored % 2 == 0
         return uncolored // 2
 
-    def is_minimal(self, a: HalfInt, h: int) -> bool:
-        """No predecessor: nothing to the right in the row, nothing up-left."""
-        return not self.has_vertex(a + 1, h) and not self.has_vertex(a - 1, h + 1)
-
     def minimal_vertices(self) -> list[Vertex]:
-        return [(a, h) for a, h in self.vertices() if self.is_minimal(a, h)]
+        """The vertices without a predecessor, in :meth:`vertices` order.
+
+        A vertex other than its row's right end has a right neighbour, so a
+        minimal vertex is the right end of a non-empty row with no vertex
+        up-left of it.
+        """
+        return [
+            (row.right, row.height)
+            for row in self.rows
+            if not (row.is_empty or self.has_vertex(HalfInt(row.right.twice - 2), row.height + 1))
+        ]
 
     def partner(self, a: HalfInt, h: int) -> Vertex:
         """The reflection pairing uncolored vertices across the band center."""

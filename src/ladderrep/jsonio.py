@@ -102,13 +102,15 @@ def label_to_json(rho: CuspidalLabel) -> dict:
 
 def label_from_json(data: Any) -> CuspidalLabel:
     ident = _require(data, "id", "label")
+    if not isinstance(ident, str):
+        raise SchemaError("label: id must be a string")
     d = _require(data, "d", "label")
     parity_text = _require(data, "parity", "label")
     for parity in Parity:
         if parity_text == parity.value:
             if not _is_int(d) or d < 1:
                 raise SchemaError("label: d must be a positive integer")
-            return CuspidalLabel(str(ident), d, parity)
+            return CuspidalLabel(ident, d, parity)
     raise SchemaError(f"label: unknown parity {parity_text!r}")
 
 

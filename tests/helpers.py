@@ -28,8 +28,9 @@ from ladderrep import (
     TemperedParam,
     TemperedPiece,
     Segment,
+    SigmaElement,
     UnsupportedParameterError,
-    assemble_i_sigma,
+    ZeroRep,
     build_graph,
     derivative,
     enumerate_sigma,
@@ -42,7 +43,7 @@ from ladderrep import (
     validate_datum,
 )
 from ladderrep.core import sum_coefficients
-from ladderrep.formula import _block_parts, _block_perms, _sign_choices, permutation_sign
+from ladderrep.formula import _block_perms, permutation_sign
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -80,6 +81,29 @@ def assert_has_vertex_matches_vertices(g) -> None:
         for h in range(min(heights) - 1, max(heights) + 2):
             a = HalfInt(twice)
             assert g.has_vertex(a, h) == ((a, h) in vertices), (a, h)
+
+
+def reference_vertices(g) -> list[tuple[HalfInt, int]]:
+    """Every vertex, row by row, each row stepped down from its right end by
+    ``HalfInt`` subtraction: the reference for ``LadderGraph.vertices``."""
+    out = []
+    for row in g.rows:
+        a = row.right
+        while not a < row.left:
+            out.append((a, row.height))
+            a = a - 1
+    return out
+
+
+def reference_minimal_vertices(g) -> list[tuple[HalfInt, int]]:
+    """The vertices without a predecessor, tested one by one: nothing to the
+    right in the row and nothing up-left.  The reference for
+    ``LadderGraph.minimal_vertices``."""
+    return [
+        (a, h)
+        for a, h in reference_vertices(g)
+        if not g.has_vertex(a + 1, h) and not g.has_vertex(a - 1, h + 1)
+    ]
 
 
 def load_golden(name: str) -> dict:
@@ -367,18 +391,85 @@ def supp_ladder_by_derivatives(d: LadderDatum) -> SupportMultiset:
     return SupportMultiset.of(exponents, current)
 
 
+def reference_block_parts(
+    block: DatumBlock, perm: tuple[int, ...]
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """Read one block permutation into integer parts, exponents doubled.
+
+    Returns the segments ``(x, y)`` of the pairs kept in Langlands position
+    (``low < high``: ``(x_low, -x_high)``), the piece sizes ``(a1, a2)`` of
+    the inverted pairs and the middle pieces ``(a, sign)``, signs
+    alternating from eta.  The reference for ``formula._pair_share``.
+    """
+    t, l = block.t, block.l
+    xs = [x.twice for x in block.exponents]
+    segments = []
+    pairs = []
+    for j in range(l):
+        low, high = perm[j], perm[t - 1 - j]
+        if low < high:
+            segments.append((xs[low - 1], -xs[high - 1]))
+            continue
+        a1, a2 = xs[low - 1] + 1, xs[high - 1] + 1
+        if min(a1, a2) < 0:
+            raise AssertionError("negative piece size escaped the membership constraints")
+        pairs.append((a1, a2))
+    zone = perm[l : t - l]
+    fixed = [(xs[i - 1] + 1, block.eta if k % 2 == 0 else -block.eta) for k, i in enumerate(zone)]
+    if any(a < 0 for a, _ in fixed):
+        raise AssertionError("negative piece size escaped the membership constraints")
+    return segments, pairs, fixed
+
+
+def reference_sign_choices(
+    pairs: list[tuple[int, int]], fixed: list[tuple[int, int]]
+) -> Iterator[list[tuple[int, int]]]:
+    """The pieces ``(a, sign)`` under each sign choice, +1 before -1 per pair."""
+    both = [[((a1, sign), (a2, sign)) for sign in (1, -1)] for a1, a2 in pairs]
+    for chosen in itertools.product(*both):
+        yield list(itertools.chain(fixed, *chosen))
+
+
+def reference_assemble(d: LadderDatum, sigma: SigmaElement) -> list[StandardModule | ZeroRep]:
+    """The direct-sum summands of one permutation tuple, built as objects:
+    the reference for ``assemble_i_sigma``.
+
+    Summands are listed over sign choices on the inverted pairs, +1 before
+    -1 per pair, pairs ordered by block then pair index; each is assembled
+    by ``make_standard_module``, so convention-killed summands appear as the
+    zero sentinel.
+    """
+    segments: list[Segment] = []
+    choices: list[list[list[TemperedPiece]]] = []  # per block, per sign choice
+    for block, perm in zip(d.blocks, sigma.perms):
+        rho = block.rho
+        block_segments, pairs, fixed = reference_block_parts(block, perm)
+        segments += (Segment(rho, HalfInt(x), HalfInt(y)) for x, y in block_segments)
+        choices.append(
+            [
+                [TemperedPiece(rho, a, sign) for a, sign in pieces]
+                for pieces in reference_sign_choices(pairs, fixed)
+            ]
+        )
+    return [
+        make_standard_module(segments, TemperedParam(d.group, tuple(itertools.chain(*pieces))))
+        for pieces in itertools.product(*choices)
+    ]
+
+
 def reference_expansion(d: LadderDatum, projected: bool) -> GrothendieckElement:
     """The signed expansion summand by summand, the reference for ``determinantal_formula``.
 
-    Every permutation tuple is assembled into its summands, the nonzero ones
-    are summed by ``from_items``, and the projection keeps each term whose
-    own support equals the ladder's.
+    Every permutation tuple is assembled into its summands by
+    :func:`reference_assemble`, the nonzero ones are summed by
+    ``from_items``, and the projection keeps each term whose own support
+    equals the ladder's.
     """
     rank = validate_datum(d)
     items = [
         (summand, sigma.sign)
         for sigma in enumerate_sigma(d)
-        for summand in assemble_i_sigma(d, sigma)
+        for summand in reference_assemble(d, sigma)
         if not is_zero(summand)
     ]
     element = GrothendieckElement.from_items(rank, items)
@@ -398,17 +489,17 @@ def reference_block_shares(block: DatumBlock) -> dict[tuple, int]:
     a zero Steinberg factor or a size-0 piece of sign -1 leaves the summand
     out, and unit factors and size-0 pieces of sign +1 are dropped.  The
     reference for ``formula._block_shares``: each permutation is read in
-    turn.
+    turn by :func:`reference_block_parts`.
     """
     rid = block.rho.id
 
     def shares(perm: tuple[int, ...]) -> Iterator[tuple[tuple, int]]:
-        segments, pairs, fixed = _block_parts(block, perm)
+        segments, pairs, fixed = reference_block_parts(block, perm)
         if any(y > x + 2 for x, y in segments):
             return
         sign = permutation_sign(perm)
         seg_keys = tuple(sorted([(x + y, x, rid, y) for x, y in segments if y <= x]))
-        for pieces in _sign_choices(pairs, fixed):
+        for pieces in reference_sign_choices(pairs, fixed):
             if (0, -1) not in pieces:
                 yield (seg_keys, tuple(sorted([(rid, a, -s) for a, s in pieces if a]))), sign
 

@@ -8,8 +8,11 @@ import sys
 
 import pytest
 
-from ladderrep import cli
+from ladderrep import TableRow, cli, enumerate_sigma, is_zero, jsonio
 from ladderrep.cli import main
+from ladderrep.render import render_table
+
+from helpers import golden_data, golden_datum, reference_assemble
 
 DATUM = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": 1}
 BAD_ETA = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": -1}
@@ -130,6 +133,20 @@ def test_inline_json_array_is_not_a_path(capsys, tmp_path, text):
     assert code == 2 and err == "input error: datum: expected a JSON object\n"
 
 
+@pytest.mark.parametrize("ident", [None, True, 1, [], {}], ids=["null", "true", "1", "list", "object"])
+def test_label_id_must_be_a_string(capsys, ident):
+    # str() would read these as the labels "None", "True", "1", "[]" and "{}"
+    label = {"id": ident, "d": 1, "parity": "integral"}
+    block = {"rho": label, "X": ["0", "1", "2"], "l": 1, "eta": 1}
+    code, out, err = run_cli(capsys, "validate", json.dumps({"group": "Sp", "blocks": [block]}))
+    assert code == 2 and out == "" and err == "input error: label: id must be a string\n"
+    ladder = {"rho": label, "segments": [["0", "0"], ["1", "1"]]}
+    code, out, err = run_cli(capsys, "gl-det-formula", json.dumps(ladder))
+    assert code == 2 and out == "" and err == "input error: label: id must be a string\n"
+    block["rho"] = dict(label, id="1")
+    assert run_cli(capsys, "validate", json.dumps({"group": "Sp", "blocks": [block]}))[0] == 0
+
+
 @pytest.mark.parametrize("eta, expected", [("+", 0), ("+1", 0), ("-", 1), ("-1", 1)])
 def test_validate_accepts_sign_strings(capsys, eta, expected):
     # eta -1 violates the global-sign clause for this X and l: a domain error
@@ -200,6 +217,21 @@ def test_det_formula_table_and_text(capsys):
     assert len(out.splitlines()) == 7  # header + six rows
     code, out, _ = run_cli(capsys, "det-formula", json.dumps(DATUM), "--format", "text")
     assert "Δ[0,-2]⋊π(1^+)" in out
+
+
+def test_det_formula_table_matches_reference_rows(capsys, corpus):
+    # the table prints every permutation tuple's surviving summands, as the
+    # object-level reference assembles them
+    golden = [golden_datum(data) for data in golden_data()]
+    for d in golden + corpus[::12]:
+        rows = [
+            TableRow(sigma, tuple(m for m in reference_assemble(d, sigma) if not is_zero(m)))
+            for sigma in enumerate_sigma(d)
+        ]
+        datum = json.dumps(jsonio.datum_to_json(d))
+        code, out, err = run_cli(capsys, "det-formula", datum, "--format", "table")
+        assert code == 0, err
+        assert out == render_table(rows) + "\n"
 
 
 def test_det_formula_raw_flag(capsys):
@@ -298,7 +330,7 @@ def test_byte_identical_across_hash_seeds(tmp_path):
     runs = [
         ("det-formula", name, flags)
         for name in ("one-block", "two-blocks")
-        for flags in ([], ["--raw"])
+        for flags in ([], ["--raw"], ["--format", "table"])
     ]
     runs += [
         ("jacquet", "one-block", []),
@@ -319,7 +351,10 @@ def test_byte_identical_across_hash_seeds(tmp_path):
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], (command, name, flags)
-        assert len(json.loads(outputs[0])["terms"]) > 1
+        if "table" in flags:
+            assert len(outputs[0].splitlines()) > 2  # the header and the rows
+        else:
+            assert len(json.loads(outputs[0])["terms"]) > 1
 
 
 def test_console_entry_point_runs():

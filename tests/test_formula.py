@@ -11,6 +11,7 @@ from ladderrep import (
     GroupKind,
     GrothendieckElement,
     HalfInt,
+    LadderDatum,
     LadderError,
     Parity,
     Segment,
@@ -32,7 +33,7 @@ from ladderrep import (
     steinberg_product,
     validate_datum,
 )
-from ladderrep.formula import _block_shares, permutation_sign
+from ladderrep.formula import _block_perms, _block_shares, permutation_sign
 
 from helpers import (
     HALF_LABEL,
@@ -41,6 +42,8 @@ from helpers import (
     golden_data,
     golden_datum,
     module,
+    reference_assemble,
+    reference_block_parts,
     reference_block_shares,
     reference_expansion,
     reference_gl_expansion,
@@ -256,6 +259,31 @@ def test_negative_piece_size_asserts_under_a_zero_factor():
     for shares in (_block_shares, reference_block_shares):
         with pytest.raises(AssertionError, match="negative piece size"):
             shares(block)
+    # assembly reads every pair of a permutation, and asserts exactly where
+    # the reference part reader does
+    d = LadderDatum.of(GroupKind.SP, [block])
+    asserted = 0
+    for perm in _block_perms(block):
+        try:
+            reference_block_parts(block, perm)
+        except AssertionError:
+            asserted += 1
+            with pytest.raises(AssertionError, match="negative piece size"):
+                assemble_i_sigma(d, SigmaElement((perm,), permutation_sign(perm)))
+    assert asserted > 0
+
+
+def test_assembly_matches_reference(corpus, small_corpus, small_data):
+    # the key path lists the same summands as the object path: same length,
+    # the zero sentinel at the same positions, equal modules elsewhere
+    golden = [golden_datum(data) for data in golden_data()]
+    zeros = 0
+    for d in corpus + small_corpus + small_data + golden:
+        for sigma in enumerate_sigma(d):
+            got = assemble_i_sigma(d, sigma)
+            assert got == reference_assemble(d, sigma), (d, sigma)
+            zeros += sum(map(is_zero, got))
+    assert zeros > 0
 
 
 def test_modules_built_track_the_output(monkeypatch):

@@ -24,7 +24,11 @@ from helpers import (
     HALF_LABEL,
     INT_LABEL,
     assert_has_vertex_matches_vertices,
+    golden_data,
+    golden_datum,
     random_datum,
+    reference_minimal_vertices,
+    reference_vertices,
     supp_ladder_by_derivatives,
     unipotent,
 )
@@ -138,6 +142,19 @@ def test_remark_invariants_on_corpus(corpus):
                 assert g.color(*g.partner(a, h)) == 0
             minimal_abscissas = [a for a, _ in g.minimal_vertices()]
             assert len(minimal_abscissas) == len(set(minimal_abscissas))
+
+
+def test_minimal_vertices_match_reference(corpus, small_data):
+    # only a row's right end can be minimal; the per-vertex test agrees
+    golden = [golden_datum(data) for data in golden_data()]
+    minimal = 0
+    for d in corpus + small_data + golden:
+        for block in d.blocks:
+            g = build_graph(block)
+            assert list(g.vertices()) == reference_vertices(g)
+            assert g.minimal_vertices() == reference_minimal_vertices(g)
+            minimal += len(g.minimal_vertices())
+    assert minimal > 0
 
 
 # ---------------------------------------------------------------------------
