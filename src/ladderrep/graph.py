@@ -4,16 +4,16 @@ Each block unfolds into a grid of vertices: one row per exponent, the row
 for the pair (x_j, x_{t-j+1}) running from x_j on the right down to
 -x_{t-j+1} on the left.  Arrows run leftward within a row and down-right
 between consecutive rows, and a central band of rows carries alternating
-+/- colors; everything outside the band is uncolored.  Derivatives live at
-uncolored minimal vertices, the supercuspidal core is the colored part, the
-full Jacquet expansion enumerates admissible exponent drops, and duality
-reflects the grid through the line swap x+y <-> y.
++/- colors; everything outside the band is uncolored.  The supercuspidal
+core is the colored part, the full Jacquet expansion enumerates admissible
+exponent drops (a derivative is the rest of a single-step drop), and
+duality reflects the grid through the line swap x+y <-> y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment, sum_coefficients
 from .datum import (
@@ -99,23 +99,6 @@ class LadderGraph:
         uncolored = sum(1 for a, h in self.vertices() if self.color(a, h) == 0)
         assert uncolored % 2 == 0
         return uncolored // 2
-
-    def minimal_vertices(self) -> list[Vertex]:
-        """The vertices without a predecessor, in :meth:`vertices` order.
-
-        A vertex other than its row's right end has a right neighbour, so a
-        minimal vertex is the right end of a non-empty row with no vertex
-        up-left of it.
-        """
-        return [
-            (row.right, row.height)
-            for row in self.rows
-            if not (row.is_empty or self.has_vertex(HalfInt(row.right.twice - 2), row.height + 1))
-        ]
-
-    def partner(self, a: HalfInt, h: int) -> Vertex:
-        """The reflection pairing uncolored vertices across the band center."""
-        return (-a, -(self.t - 2 * self.l - 1) - h)
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         """All precedence pairs u -> v, horizontal then diagonal."""
@@ -235,34 +218,22 @@ def graph_to_datum(g: LadderGraph) -> DatumBlock:
 def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     """The leading Jacquet coefficient at the twist x of the given label.
 
-    Returns None (the zero representation) unless the block graph has an
-    uncolored minimal vertex at abscissa x; otherwise that vertex and its
-    reflection partner are removed and the datum is rebuilt from what is
-    left.  A label absent from the datum has an empty graph, so its
-    derivative is zero.
+    It is the rest of the drop that lowers the exponent x by one step and
+    leaves every other exponent where it is.  The result is None (the zero
+    representation) when that drop is not admissible, when x is not an
+    exponent of the label, and when the label is absent from the datum.
     """
     if not d.has_block(rho_id):
         return None
     block = d.block(rho_id)
-    g = build_graph(block)
-    hits = [
-        (a, h)
-        for a, h in g.minimal_vertices()
-        if a == x and g.color(a, h) == 0
-    ]
-    if not hits:
+    ys = [v.twice for v in block.exponents]
+    if x.twice not in ys:
         return None
-    assert len(hits) == 1, "at most one minimal vertex per abscissa"
-    v = hits[0]
-    p = g.partner(*v)
-    assert p != v and g.has_vertex(*p) and g.color(*p) == 0
-    colored = g.colored_map()
-    del colored[v]
-    del colored[p]
-    new_block = parse_colored_vertices(block.rho, colored)
-    result = d.replace_block(rho_id, new_block)
-    validate_datum(result)
-    return result
+    ys[ys.index(x.twice)] -= 2
+    floor = _drop_floor(block)
+    if any(y < floor(ys, i) for i, y in enumerate(ys)):
+        return None
+    return _rest_datum(d, block.rho, _rest_key(ys, block.l, block.eta))
 
 
 def is_supercuspidal(d: LadderDatum) -> bool:
@@ -315,26 +286,64 @@ class JacquetTerm:
         return sum(s.rho.d * s.length for s in self.gl_segments)
 
 
+def _drop_floor(block: DatumBlock) -> Callable[[Sequence[int], int], int]:
+    """The least admissible ``y_i`` of a drop, doubled, given ``y_0 .. y_{i-1}``.
+
+    A drop lowers each x_i (0-based) by whole steps to y_i > y_{i-1}, with
+    y_i >= -x_{t-1-i} - 1, a middle y_i on its staircase step (i - l, less
+    eta/2 for a half-integral label) or above, and outer pair sums of at
+    least -1.  The block's constants are read once, not once per call.
+    """
+    t, l = block.t, block.l
+    shift = 0 if block.rho.parity is Parity.INTEGRAL else block.eta
+    fixed = [-x.twice - 2 for x in reversed(block.exponents)]
+    for i in range(l, t - l):
+        fixed[i] = max(fixed[i], 2 * (i - l) - shift)
+
+    def floor(ys: Sequence[int], i: int) -> int:
+        lo = fixed[i]
+        if i >= t - l:
+            lo = max(lo, -2 - ys[t - 1 - i])
+        if i:
+            lo = max(lo, ys[i - 1] + 2)
+        return lo
+
+    return floor
+
+
+def _rest_key(ys: Sequence[int], l: int, eta: int) -> tuple[tuple[int, ...], int, int]:
+    """The rest block ``(kept, l, eta)`` of a drop y of a block with the given l
+    and eta, doubled: the exponents with non-negative partner sum, one pair
+    fewer per outer partner sum of -1, and eta +1 if empty, -1 if all paired."""
+    kept = tuple(y for y, partner in zip(ys, reversed(ys)) if y + partner >= 0)
+    new_l = l - sum(1 for i in range(l) if ys[i] + ys[-1 - i] == -2)
+    if not kept:
+        return kept, new_l, 1
+    if 2 * new_l == len(kept):
+        return kept, new_l, -1
+    return kept, new_l, eta
+
+
+def _rest_datum(d: LadderDatum, rho: CuspidalLabel, key: tuple) -> LadderDatum:
+    """The datum with the block of ``rho`` replaced by the rest block ``key``, validated."""
+    kept, l, eta = key
+    rest = d.replace_block(rho.id, DatumBlock(rho, tuple(HalfInt(y) for y in kept), l, eta))
+    validate_datum(rest)
+    return rest
+
+
 def _jacquet_tuples(block: DatumBlock) -> Iterator[tuple[int, ...]]:
     """The admissible exponent drops y of a block, as doubled integers."""
-    t, l = block.t, block.l
+    t = block.t
     xs = [x.twice for x in block.exponents]
-    integral = block.rho.parity is Parity.INTEGRAL
+    floor = _drop_floor(block)
     chosen: list[int] = []
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
         if i == t:
             yield tuple(chosen)
             return
-        lo = -xs[t - 1 - i] - 2
-        if l <= i < t - l:
-            lo = max(lo, 2 * (i - l) if integral else 2 * (i - l) - block.eta)
-        if i >= t - l:
-            lo = max(lo, -2 - chosen[t - 1 - i])
-        if chosen:
-            lo = max(lo, chosen[-1] + 2)
-        start = lo if (lo - xs[i]) % 2 == 0 else lo + 1
-        for y in range(start, xs[i] + 1, 2):
+        for y in range(floor(chosen, i), xs[i] + 1, 2):
             chosen.append(y)
             yield from rec(i + 1)
             chosen.pop()
@@ -345,23 +354,13 @@ def _jacquet_tuples(block: DatumBlock) -> Iterator[tuple[int, ...]]:
 def _jacquet_keys(block: DatumBlock) -> Iterator[tuple[tuple, tuple]]:
     """Each drop's GL segments ``(x, y)`` and rest block ``(kept, l, eta)``, doubled.
 
-    The GL segments are ``[x_i, y_i + 1]`` with unit factors omitted; the
-    rest keeps the exponents with non-negative partner sum and loses one
-    pair for each outer partner sum of -1.
+    The GL segments are ``[x_i, y_i + 1]`` with unit factors omitted.
     """
-    t, l = block.t, block.l
+    l, eta = block.l, block.eta
     xs = [x.twice for x in block.exponents]
     for ys in _jacquet_tuples(block):
         segments = tuple((x, y + 2) for x, y in zip(xs, ys) if y < x)
-        kept = tuple(y for y, partner in zip(ys, reversed(ys)) if y + partner >= 0)
-        new_l = l - sum(1 for i in range(l) if ys[i] + ys[t - 1 - i] == -2)
-        if not kept:
-            eta = 1
-        elif 2 * new_l == len(kept):
-            eta = -1
-        else:
-            eta = block.eta
-        yield segments, (kept, new_l, eta)
+        yield segments, _rest_key(ys, l, eta)
 
 
 def jacquet_expansion(
@@ -393,11 +392,7 @@ def jacquet_expansion(
     ordered = []
     for (seg_keys, rest_key), count in items:
         if rest_key not in rests:
-            kept, new_l, eta = rest_key
-            rest = d.replace_block(
-                rho_id, DatumBlock(rho, tuple(HalfInt(y) for y in kept), new_l, eta)
-            )
-            validate_datum(rest)
+            rest = _rest_datum(d, rho, rest_key)
             rests[rest_key] = rest, rest.sort_key()
         for xy in seg_keys:
             if xy not in segments:

@@ -155,7 +155,8 @@ def _dot_name(a, h) -> str:
 
 
 def dot_graph(g: LadderGraph) -> str:
-    lines = [f'digraph "{g.rho.id}" {{']
+    name = g.rho.id.replace("\\", "\\\\").replace('"', '\\"')
+    lines = [f'digraph "{name}" {{']
     for a, h in sorted(g.vertices(), key=lambda v: (-v[1], -v[0].twice)):
         f = g.color(a, h)
         mark = "o" if f == 0 else ("+" if f == 1 else "-")

@@ -38,6 +38,7 @@ from ladderrep import (
     is_supercuspidal,
     is_zero,
     make_standard_module,
+    parse_colored_vertices,
     steinberg_product,
     supp_ladder,
     validate_datum,
@@ -97,13 +98,50 @@ def reference_vertices(g) -> list[tuple[HalfInt, int]]:
 
 def reference_minimal_vertices(g) -> list[tuple[HalfInt, int]]:
     """The vertices without a predecessor, tested one by one: nothing to the
-    right in the row and nothing up-left.  The reference for
-    ``LadderGraph.minimal_vertices``."""
+    right in the row and nothing up-left."""
     return [
         (a, h)
         for a, h in reference_vertices(g)
         if not g.has_vertex(a + 1, h) and not g.has_vertex(a - 1, h + 1)
     ]
+
+
+def partner(g, a: HalfInt, h: int) -> tuple[HalfInt, int]:
+    """The reflection pairing uncolored vertices across the band center."""
+    return (-a, -(g.t - 2 * g.l - 1) - h)
+
+
+def reference_derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
+    """The derivative by graph surgery, the reference for ``derivative``.
+
+    Returns None (the zero representation) unless the block graph has an
+    uncolored minimal vertex at abscissa x; otherwise that vertex and its
+    reflection partner are removed and the datum is rebuilt from what is
+    left.  A label absent from the datum has an empty graph, so its
+    derivative is zero.
+    """
+    if not d.has_block(rho_id):
+        return None
+    block = d.block(rho_id)
+    g = build_graph(block)
+    hits = [
+        (a, h)
+        for a, h in reference_minimal_vertices(g)
+        if a == x and g.color(a, h) == 0
+    ]
+    if not hits:
+        return None
+    assert len(hits) == 1, "at most one minimal vertex per abscissa"
+    v = hits[0]
+    p = partner(g, *v)
+    assert p != v and g.has_vertex(*p) and g.color(*p) == 0
+    colored = g.colored_map()
+    del colored[v]
+    del colored[p]
+    new_block = parse_colored_vertices(block.rho, colored)
+    result = d.replace_block(rho_id, new_block)
+    validate_datum(result)
+    return result
 
 
 def load_golden(name: str) -> dict:
@@ -366,7 +404,7 @@ def supp_standard_module(s: StandardModule) -> SupportMultiset:
 def _first_removable(d: LadderDatum) -> tuple[str, HalfInt] | None:
     for b in d.blocks:
         g = build_graph(b)
-        for a, h in g.minimal_vertices():
+        for a, h in reference_minimal_vertices(g):
             if g.color(a, h) == 0:
                 return (b.rho.id, a)
     return None
@@ -530,6 +568,35 @@ def reference_gl_expansion(g: GLLadder) -> GLCombination:
             continue
         items.append((product, permutation_sign([p + 1 for p in perm])))
     return gl_combination_from_items(items)
+
+
+def mw_dual(segments: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The Mœglin–Waldspurger involution on a multisegment of one label, sorted.
+
+    A segment ``(b, e)`` is the run of twists b, b + 1, ..., e, doubled.
+    Each round starts a chain at a segment of largest end, the shortest of
+    them; each next link ends one step below the last and begins strictly
+    below it, again the shortest such.  A chain of r links gives the dual
+    the segment of the r twists that end at the largest end, and every
+    link loses its own end.  The rounds stop when nothing is left.
+    """
+    m = list(segments)
+    out = []
+    while m:
+        top = max(e for _, e in m)
+        chain: list[int] = []
+        end, below = top, None
+        while True:
+            links = [k for k, (b, e) in enumerate(m) if e == end and (below is None or b < below)]
+            if not links:
+                break
+            k = max(links, key=lambda k: m[k][0])
+            chain.append(k)
+            below, end = m[k][0], end - 2
+        out.append((top - 2 * (len(chain) - 1), top))
+        m = [(b, e - 2) if k in chain else (b, e) for k, (b, e) in enumerate(m)]
+        m = [(b, e) for b, e in m if b <= e]
+    return tuple(sorted(out))
 
 
 def _reference_jacquet_tuples(block: DatumBlock) -> Iterator[tuple[HalfInt, ...]]:

@@ -30,7 +30,14 @@ from ladderrep import (
 )
 from ladderrep.core import Parity
 
-from helpers import golden_datum, golden_module, load_golden, supp_standard_module, unipotent
+from helpers import (
+    golden_datum,
+    golden_module,
+    load_golden,
+    reference_minimal_vertices,
+    supp_standard_module,
+    unipotent,
+)
 from test_formula import _shift_module, _sigma_sets_agree, gl, _oracle_t2, _oracle_t3, _random_gl_ladder
 
 GOLDEN_FILES = [
@@ -170,7 +177,7 @@ def test_criterion_7_derivative_laws(corpus):
         raw = None
         for block in d.blocks:
             g = build_graph(block)
-            for a, h in g.minimal_vertices():
+            for a, h in reference_minimal_vertices(g):
                 if g.color(a, h) != 0:
                     continue
                 step = derivative(d, block.rho.id, a)

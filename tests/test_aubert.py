@@ -1,16 +1,21 @@
-"""Duality on ladder data: worked examples, involution, fixed points."""
+"""Duality on ladder data: worked examples, involution, fixed points, and
+its commuting with Jacquet modules."""
+
+from collections import Counter
 
 from ladderrep import (
     aubert_dual,
+    canonical_form,
     is_canonical,
     is_supercuspidal,
+    jacquet_expansion,
     langlands_data_of,
     standard_module_of,
     validate_datum,
 )
 from ladderrep.render import render_module
 
-from helpers import unipotent
+from helpers import golden_data, golden_datum, mw_dual, unipotent
 
 
 def test_worked_dual():
@@ -86,3 +91,69 @@ def test_supports_swap_coherently(corpus):
         mine = {rho.id: sorted(v.twice for v in values) for rho, values in s.exponents}
         theirs = {rho.id: sorted(v.twice for v in values) for rho, values in s_dual.exponents}
         assert mine == theirs
+
+
+# ---------------------------------------------------------------------------
+# duality commutes with Jacquet modules (Aubert, Trans. AMS 347 (1995))
+
+
+def test_mw_dual_of_a_segment_is_its_unit_segments():
+    # the twists 0, 1, 2 as one segment, and as three unit segments
+    assert mw_dual([(0, 4)]) == ((0, 0), (2, 2), (4, 4))
+    assert mw_dual([(0, 0), (2, 2), (4, 4)]) == ((0, 4),)
+    assert mw_dual([(-1, 1)]) == ((-1, -1), (1, 1))
+    assert mw_dual([(-1, -1), (1, 1)]) == ((-1, 1),)
+    # not a ladder: of the two segments ending at 2, a chain starts at the
+    # shorter, so [1, 2] + [2] and [1] + [2] + [2] swap
+    assert mw_dual([(2, 4), (4, 4)]) == ((2, 2), (4, 4), (4, 4))
+    assert mw_dual([(2, 2), (4, 4), (4, 4)]) == ((2, 4), (4, 4))
+
+
+def _zelevinsky(term) -> tuple[tuple[int, int], ...]:
+    """A term's GL ladder as sorted segments ``(b, e)`` of doubled twists."""
+    return tuple(sorted((s.y.twice, s.x.twice) for s in term.gl_segments))
+
+
+def _jacquet_parts(d, rho_id) -> Counter:
+    """The Jacquet module along one label as a multiset of (GL part, canonical rest)."""
+    if not d.has_block(rho_id):  # the dual of a block of dimension 0 is empty
+        return Counter({((), canonical_form(d)): 1})
+    parts = Counter()
+    for term in jacquet_expansion(d, rho_id):
+        parts[(_zelevinsky(term), canonical_form(term.datum))] += term.multiplicity
+    return parts
+
+
+def _is_ladder(m) -> bool:
+    begins, ends = [b for b, _ in m], [e for _, e in m]
+    return begins == sorted(set(begins)) and ends == sorted(set(ends))
+
+
+def test_mw_dual_is_an_involution_on_ladders(corpus, small_data):
+    # on every GL part of every Jacquet term, MW maps ladders to ladders
+    # (Lapid–Mínguez) and undoes itself
+    seen = set()
+    for d in corpus + small_data:
+        for block in d.blocks:
+            seen.update(gl for gl, _ in _jacquet_parts(d, block.rho.id))
+    assert len(seen) > 1000
+    for m in seen:
+        dual = mw_dual(m)
+        assert _is_ladder(m) and _is_ladder(dual), m
+        assert mw_dual(dual) == m
+
+
+def test_jacquet_of_the_dual_is_the_dual_of_the_jacquet(corpus, small_corpus, small_data):
+    # Jac(D(pi)) = sum of (D_GL(tau))^v (x) D(sigma) over the terms tau (x) sigma
+    # of Jac(pi), along every label: D_GL is MW, and v negates and swaps the
+    # ends of each segment
+    golden = [golden_datum(data) for data in golden_data()]
+    for d in corpus + small_corpus + small_data + golden:
+        dual = aubert_dual(d)
+        for block in d.blocks:
+            rid = block.rho.id
+            expected = Counter()
+            for (gl, rest), count in _jacquet_parts(d, rid).items():
+                contragredient = tuple(sorted((-e, -b) for b, e in mw_dual(gl)))
+                expected[(contragredient, aubert_dual(rest))] += count
+            assert _jacquet_parts(dual, rid) == expected, (d, rid)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -166,6 +167,19 @@ def test_graph_ascii_and_dot(capsys):
     assert code == 0 and out.splitlines()[1].startswith("x:")
     code, out, _ = run_cli(capsys, "graph", json.dumps(DATUM), "--format", "dot")
     assert code == 0 and out.startswith("digraph") and "->" in out
+
+
+def test_graph_dot_escapes_the_label_id(capsys):
+    label = 'a"b\\'
+    rho = {"id": label, "d": 1, "parity": "integral"}
+    datum = {"group": "Sp", "blocks": [{"rho": rho, "X": ["0", "1", "2"], "l": 1, "eta": 1}]}
+    code, out, _ = run_cli(capsys, "graph", json.dumps(datum), "--format", "dot")
+    assert code == 0
+    header = out.splitlines()[0]
+    assert header == 'digraph "a\\"b\\\\" {'
+    # the quoted id is one DOT string that reads back to the label id
+    quoted = re.fullmatch(r'digraph "((?:[^"\\]|\\.)*)" \{', header)
+    assert quoted and re.sub(r"\\(.)", r"\1", quoted.group(1)) == label
 
 
 def test_derivative_command(capsys):

