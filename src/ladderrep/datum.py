@@ -12,6 +12,7 @@ of the engine manipulates symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     CuspidalLabel,
@@ -88,12 +89,6 @@ class LadderDatum:
     def has_block(self, rho_id: str) -> bool:
         return any(b.rho.id == rho_id for b in self.blocks)
 
-    def replace_block(self, rho_id: str, new: DatumBlock | None) -> "LadderDatum":
-        blocks = [b for b in self.blocks if b.rho.id != rho_id]
-        if new is not None and not new.is_empty:
-            blocks.append(new)
-        return LadderDatum.of(self.group, blocks)
-
     @property
     def dimension(self) -> int:
         return sum(b.dimension for b in self.blocks)
@@ -102,73 +97,89 @@ class LadderDatum:
         return (
             self.group.value,
             tuple(
-                (b.rho.id, b.rho.d, b.rho.parity.value, tuple(x.twice for x in b.exponents), b.l, b.eta)
+                block_sort_key(b.rho, tuple(x.twice for x in b.exponents), b.l, b.eta)
                 for b in self.blocks
             ),
         )
 
 
-def _eta_is_forced_plus(block: DatumBlock) -> bool:
-    """Eta is +1 when X is empty or when the first middle exponent is -1/2."""
-    if block.is_empty:
-        return True
-    return block.l + 1 <= block.t - block.l and block.x(block.l + 1) == MINUS_HALF
+def block_sort_key(rho: CuspidalLabel, xs: tuple[int, ...], l: int, eta: int) -> tuple:
+    """One block's part of :meth:`LadderDatum.sort_key`, exponents doubled."""
+    return (rho.id, rho.d, rho.parity.value, xs, l, eta)
+
+
+def check_block(rho: CuspidalLabel, xs: Sequence[int], l: int, eta: int) -> tuple[int, int]:
+    """Check one block's clauses on its doubled exponents ``xs``; return the
+    block's sign and dimension.
+
+    The first violated clause is reported by name, in this order: parity,
+    ordering, l-range, pairing-positivity, middle-positivity, eta-forcing.
+    """
+    rid = rho.id
+    t = len(xs)
+    for x in xs:
+        if not rho.parity.matches_twice(x):
+            raise DatumValidationError(
+                "parity", rid, f"exponent {HalfInt(x)} lies outside the label's parity class"
+            )
+    for i in range(1, t):
+        if not xs[i - 1] < xs[i]:
+            raise DatumValidationError("ordering", rid, "exponents must strictly increase")
+    if not 0 <= 2 * l <= t:
+        raise DatumValidationError("l-range", rid, f"need 0 <= 2l <= t, got l={l}, t={t}")
+    for j in range(l):
+        if xs[j] + xs[t - 1 - j] < 0:
+            raise DatumValidationError(
+                "pairing-positivity",
+                rid,
+                f"x_{j + 1} + x_{t - j} = {HalfInt(xs[j])} + {HalfInt(xs[t - 1 - j])} < 0",
+            )
+    for i in range(l, t - l):
+        if xs[i] < -1:
+            raise DatumValidationError(
+                "middle-positivity", rid, f"middle exponent x_{i + 1} = {HalfInt(xs[i])} < -1/2"
+            )
+    if eta not in (1, -1):
+        raise DatumValidationError("eta-forcing", rid, "eta must be +1 or -1")
+    if (not xs or (l < t - l and xs[l] == -1)) and eta != 1:
+        raise DatumValidationError("eta-forcing", rid, "eta is forced to +1 here")
+    if xs and 2 * l == t and eta != -1:
+        raise DatumValidationError("eta-forcing", rid, "eta is forced to -1 when 2l = t")
+    return (-1) ** (t // 2 + l) * eta**t, (sum(xs) + t) * rho.d
+
+
+def check_total(group: GroupKind, sign: int, dimension: int) -> int:
+    """Check the clauses on the whole datum, given the product of its blocks'
+    signs and the sum of their dimensions; return the group rank n."""
+    if sign != 1:
+        raise DatumValidationError("global-sign", None, "sign product over blocks is -1")
+    if dimension % 2 != group.dimension_parity:
+        raise DatumValidationError(
+            "dimension", None, f"total dimension {dimension} has the wrong parity for {group.value}"
+        )
+    n = (dimension - group.dimension_parity) // 2
+    if n < 0:
+        raise DatumValidationError("dimension", None, f"negative rank from dimension {dimension}")
+    return n
 
 
 def validate_datum(d: LadderDatum) -> int:
     """Check every defining clause; return the group rank n on success.
 
-    The first violated clause is reported by name: parity, ordering,
-    l-range, pairing-positivity, middle-positivity, eta-forcing,
-    global-sign, dimension (plus duplicate-label for malformed inputs).
+    The first violated clause is reported by name: duplicate-label, then
+    each block's clauses (:func:`check_block`) in label order, then
+    global-sign and dimension (:func:`check_total`).
     """
     ids = [b.rho.id for b in d.blocks]
     if len(set(ids)) != len(ids):
         raise DatumValidationError("duplicate-label", None, "labels must be distinct")
     sign_product = 1
+    total = 0
     for b in d.blocks:
-        rid = b.rho.id
-        for x in b.exponents:
-            if not b.rho.parity.matches(x):
-                raise DatumValidationError(
-                    "parity", rid, f"exponent {x} lies outside the label's parity class"
-                )
-        for i in range(1, b.t):
-            if not b.exponents[i - 1] < b.exponents[i]:
-                raise DatumValidationError("ordering", rid, "exponents must strictly increase")
-        if not 0 <= 2 * b.l <= b.t:
-            raise DatumValidationError("l-range", rid, f"need 0 <= 2l <= t, got l={b.l}, t={b.t}")
-        for j in range(1, b.l + 1):
-            if b.x(j).twice + b.x(b.t - j + 1).twice < 0:
-                raise DatumValidationError(
-                    "pairing-positivity",
-                    rid,
-                    f"x_{j} + x_{b.t - j + 1} = {b.x(j)} + {b.x(b.t - j + 1)} < 0",
-                )
-        for i in range(b.l + 1, b.t - b.l + 1):
-            if b.x(i).twice < -1:
-                raise DatumValidationError(
-                    "middle-positivity", rid, f"middle exponent x_{i} = {b.x(i)} < -1/2"
-                )
-        if b.eta not in (1, -1):
-            raise DatumValidationError("eta-forcing", rid, "eta must be +1 or -1")
-        if _eta_is_forced_plus(b) and b.eta != 1:
-            raise DatumValidationError("eta-forcing", rid, "eta is forced to +1 here")
-        if not b.is_empty and 2 * b.l == b.t and b.eta != -1:
-            raise DatumValidationError("eta-forcing", rid, "eta is forced to -1 when 2l = t")
-        block_sign = (-1) ** (b.t // 2 + b.l) * (b.eta ** b.t)
-        sign_product *= block_sign
-    if sign_product != 1:
-        raise DatumValidationError("global-sign", None, "sign product over blocks is -1")
-    total = d.dimension
-    if total % 2 != d.group.dimension_parity:
-        raise DatumValidationError(
-            "dimension", None, f"total dimension {total} has the wrong parity for {d.group.value}"
-        )
-    n = (total - d.group.dimension_parity) // 2
-    if n < 0:
-        raise DatumValidationError("dimension", None, f"negative rank from dimension {total}")
-    return n
+        sign, dimension = check_block(b.rho, [x.twice for x in b.exponents], b.l, b.eta)
+        sign_product *= sign
+        total += dimension
+    return check_total(d.group, sign_product, total)
 
 
 def canonical_form(d: LadderDatum) -> LadderDatum:
@@ -183,7 +194,7 @@ def canonical_form(d: LadderDatum) -> LadderDatum:
     changed = False
     blocks = []
     for b in d.blocks:
-        if not b.is_empty and _eta_is_forced_plus(b) and b.x(b.l + 1) == MINUS_HALF:
+        if b.l < b.t - b.l and b.x(b.l + 1) == MINUS_HALF:
             exps = b.exponents[: b.l] + b.exponents[b.l + 1 :]
             eta = -1 if exps else 1
             blocks.append(DatumBlock(b.rho, exps, b.l, eta))

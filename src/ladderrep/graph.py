@@ -13,13 +13,17 @@ duality reflects the grid through the line swap x+y <-> y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment, sum_coefficients
 from .datum import (
     DatumBlock,
     LadderDatum,
+    block_sort_key,
     canonical_form,
+    check_block,
+    check_total,
     validate_datum,
 )
 from .support import SupportMultiset
@@ -233,7 +237,7 @@ def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     floor = _drop_floor(block)
     if any(y < floor(ys, i) for i, y in enumerate(ys)):
         return None
-    return _rest_datum(d, block.rho, _rest_key(ys, block.l, block.eta))
+    return _Rests(d, block).datum(_rest_key(ys, block.l, block.eta))
 
 
 def is_supercuspidal(d: LadderDatum) -> bool:
@@ -324,12 +328,58 @@ def _rest_key(ys: Sequence[int], l: int, eta: int) -> tuple[tuple[int, ...], int
     return kept, new_l, eta
 
 
-def _rest_datum(d: LadderDatum, rho: CuspidalLabel, key: tuple) -> LadderDatum:
-    """The datum with the block of ``rho`` replaced by the rest block ``key``, validated."""
-    kept, l, eta = key
-    rest = d.replace_block(rho.id, DatumBlock(rho, tuple(HalfInt(y) for y in kept), l, eta))
-    validate_datum(rest)
-    return rest
+class _Rests:
+    """The rest data of drops of one block of ``d``, built from
+    their keys ``(kept, l, eta)`` with the block's exponents doubled.
+
+    A rest datum is ``d`` with that block replaced by the rest block (left
+    out when ``kept`` is empty), and it is checked as :func:`validate_datum`
+    would check it.  The other blocks are checked once, here, and only the
+    rest block per key; since ``validate_datum`` checks blocks in label
+    order and the other blocks pass, the first clause a bad key breaks is
+    the one ``validate_datum`` names.  Blocks keep their label order, so no
+    re-sort is needed.
+    """
+
+    def __init__(self, d: LadderDatum, block: DatumBlock) -> None:
+        pos = d.blocks.index(block)
+        self.group = d.group
+        self.rho = block.rho
+        self.head, self.tail = d.blocks[:pos], d.blocks[pos + 1 :]
+        self.sign, self.dimension = 1, 0
+        for b in self.head + self.tail:
+            sign, dimension = check_block(b.rho, [x.twice for x in b.exponents], b.l, b.eta)
+            self.sign *= sign
+            self.dimension += dimension
+        self.halves: dict[int, HalfInt] = {}
+
+    def datum(self, key: tuple) -> LadderDatum:
+        kept, l, eta = key
+        if not kept:
+            check_total(self.group, self.sign, self.dimension)
+            return LadderDatum(self.group, self.head + self.tail)
+        sign, dimension = check_block(self.rho, kept, l, eta)
+        check_total(self.group, self.sign * sign, self.dimension + dimension)
+        halves = self.halves
+        for y in kept:
+            if y not in halves:
+                halves[y] = HalfInt(y)
+        rest = DatumBlock(self.rho, tuple([halves[y] for y in kept]), l, eta)
+        return LadderDatum(self.group, self.head + (rest,) + self.tail)
+
+    @cached_property
+    def _sort_parts(self) -> tuple[str, tuple, tuple]:
+        """The sort key's group, and the other blocks' parts before and after the rest block."""
+        head, tail = (LadderDatum(self.group, blocks).sort_key() for blocks in (self.head, self.tail))
+        return head[0], head[1], tail[1]
+
+    def sort_key(self, key: tuple) -> tuple:
+        """The rest datum's :meth:`LadderDatum.sort_key`, from its key."""
+        group, head, tail = self._sort_parts
+        kept, l, eta = key
+        if not kept:
+            return group, head + tail
+        return group, head + (block_sort_key(self.rho, kept, l, eta),) + tail
 
 
 def _jacquet_tuples(block: DatumBlock) -> Iterator[tuple[int, ...]]:
@@ -373,12 +423,13 @@ def jacquet_expansion(
     whose block keeps the exponents with non-negative partner sum.  Terms
     are merged into multiplicities as the drops are walked, under doubled
     integer keys, unless ``merged`` is false; they are sorted by GL size,
-    then canonically.  Each distinct rest datum is built and validated
-    once, and each distinct segment is built once.
+    then canonically.  Each distinct rest datum is checked and built from
+    its key once (:class:`_Rests`), and each distinct segment is built once.
     """
     validate_datum(d)
     block = d.block(rho_id)
     rho = block.rho
+    rests = _Rests(d, block)
     keyed = ((key, 1) for key in _jacquet_keys(block))
     if merged:
         # popping frees each key once its term is built; merged terms have
@@ -388,16 +439,15 @@ def jacquet_expansion(
     else:
         items = keyed
     segments: dict[tuple[int, int], Segment] = {}
-    rests: dict[tuple, tuple[LadderDatum, tuple]] = {}
+    built: dict[tuple, tuple[LadderDatum, tuple]] = {}
     ordered = []
     for (seg_keys, rest_key), count in items:
-        if rest_key not in rests:
-            rest = _rest_datum(d, rho, rest_key)
-            rests[rest_key] = rest, rest.sort_key()
+        if rest_key not in built:
+            built[rest_key] = rests.datum(rest_key), rests.sort_key(rest_key)
         for xy in seg_keys:
             if xy not in segments:
                 segments[xy] = Segment(rho, HalfInt(xy[0]), HalfInt(xy[1]))
-        rest, rest_sort = rests[rest_key]
+        rest, rest_sort = built[rest_key]
         sort_key = (
             rho.d * sum((x - y) // 2 + 1 for x, y in seg_keys),  # the GL size
             # the segments' sort keys (one label), flattened: same order, fewer tuples

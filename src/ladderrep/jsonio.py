@@ -254,6 +254,20 @@ def _arr(level: int, items: list[str]) -> str:
     return "[" + ",".join(pad + item for item in items) + "\n" + "  " * level + "]"
 
 
+def _array_parts(head: str, level: int, tail: str) -> tuple[str, str, str, str]:
+    """The text of ``head + _arr(level, items) + tail`` around its items: before
+    the first item, between items, after the last, and the whole for none."""
+    pad = "\n" + "  " * (level + 1)
+    return head + "[" + pad, "," + pad, "\n" + "  " * level + "]" + tail, head + "[]" + tail
+
+
+def _fill(parts: tuple[str, str, str, str], items: list[str]) -> str:
+    """The text of :func:`_array_parts` with the rendered items filled in."""
+    if not items:
+        return parts[3]
+    return parts[0] + parts[1].join(items) + parts[2]
+
+
 def _write_top(out: TextIO, fields: str, terms: Iterable[str]) -> None:
     """Write the object ``{<fields>"terms": [...]}`` and a newline, one term at a time."""
     out.write("{\n  " + fields + '"terms": [')
@@ -270,8 +284,9 @@ class _Writer:
 
     Labels, segments, tempered pieces and exponents repeat across the terms of
     one output, so their text is cached per indent level under keys made of
-    plain ints and strings (no dataclass is hashed).  One writer serves one
-    call, so the caches go with it.
+    plain ints and strings (no dataclass is hashed).  Blocks and data rarely
+    repeat, so they are rendered from cached templates with their values
+    filled in.  One writer serves one call, so the caches go with it.
     """
 
     def __init__(self) -> None:
@@ -279,6 +294,8 @@ class _Writer:
         self.halves: dict[int, str] = {}
         self.segs: dict[tuple, str] = {}
         self.pieces: dict[tuple, str] = {}
+        self.blocks: dict[tuple, tuple] = {}
+        self.data: dict[tuple, tuple[str, str, str, str]] = {}
 
     def label(self, rho: CuspidalLabel, level: int) -> str:
         key = (rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
@@ -336,24 +353,33 @@ class _Writer:
         return _obj(level, (("segments", self.segments(m.segments, level + 1)), ("tempered", tempered)))
 
     def block(self, b: DatumBlock, level: int) -> str:
-        return _obj(
-            level,
-            (
-                ("X", _arr(level + 1, [self.half(x) for x in b.exponents])),
-                ("eta", str(b.eta)),
-                ("l", str(b.l)),
-                ("rho", self.label(b.rho, level + 1)),
-            ),
-        )
+        """``_obj`` on the fields X, eta, l and rho, from a template cached
+        per label and level, with the values filled in."""
+        rho = b.rho
+        key = (rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
+        template = self.blocks.get(key)
+        if template is None:
+            pad = "\n" + "  " * (level + 1)
+            template = self.blocks[key] = (
+                _array_parts("{" + pad + '"X": ', level + 1, "," + pad + '"eta": '),
+                "," + pad + '"l": ',
+                "," + pad + '"rho": ' + self.label(rho, level + 1) + "\n" + "  " * level + "}",
+            )
+        xs, middle, suffix = template
+        return _fill(xs, [self.half(x) for x in b.exponents]) + str(b.eta) + middle + str(b.l) + suffix
 
     def datum(self, d: LadderDatum, level: int) -> str:
-        return _obj(
-            level,
-            (
-                ("blocks", _arr(level + 1, [self.block(b, level + 2) for b in d.blocks])),
-                ("group", encode_basestring_ascii(d.group.value)),
-            ),
-        )
+        """``_obj`` on the fields blocks and group, from a template cached per
+        group and level, with the blocks filled in."""
+        key = (d.group is GroupKind.SP, level)
+        template = self.data.get(key)
+        if template is None:
+            pad = "\n" + "  " * (level + 1)
+            group = encode_basestring_ascii(d.group.value)
+            template = self.data[key] = _array_parts(
+                "{" + pad + '"blocks": ', level + 1, "," + pad + '"group": ' + group + "\n" + "  " * level + "}"
+            )
+        return _fill(template, [self.block(b, level + 2) for b in d.blocks])
 
 
 def write_element(e: GrothendieckElement, out: TextIO) -> None:

@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 from ladderrep import (
     CuspidalLabel,
     DatumBlock,
+    DatumValidationError,
     GLCombination,
     GLLadder,
     GrothendieckElement,
@@ -71,6 +72,71 @@ def module(group, rho, segs, temp) -> StandardModule:
     result = make_standard_module(segments, TemperedParam(group, pieces))
     assert not is_zero(result)
     return result
+
+
+def replace_block(d: LadderDatum, rho_id: str, new: DatumBlock | None) -> LadderDatum:
+    """``d`` with the block of ``rho_id`` replaced by ``new``, an empty or
+    absent block dropped, and the blocks re-sorted by ``LadderDatum.of``."""
+    blocks = [b for b in d.blocks if b.rho.id != rho_id]
+    if new is not None and not new.is_empty:
+        blocks.append(new)
+    return LadderDatum.of(d.group, blocks)
+
+
+def reference_validate_datum(d: LadderDatum) -> int:
+    """Every defining clause checked on ``HalfInt`` exponents, block by block
+    and then globally: the reference for ``validate_datum`` and the rest
+    check of the Jacquet expansion, clause, message and rank alike."""
+    ids = [b.rho.id for b in d.blocks]
+    if len(set(ids)) != len(ids):
+        raise DatumValidationError("duplicate-label", None, "labels must be distinct")
+    sign_product = 1
+    for b in d.blocks:
+        rid = b.rho.id
+        for x in b.exponents:
+            if not b.rho.parity.matches(x):
+                raise DatumValidationError(
+                    "parity", rid, f"exponent {x} lies outside the label's parity class"
+                )
+        for i in range(1, b.t):
+            if not b.exponents[i - 1] < b.exponents[i]:
+                raise DatumValidationError("ordering", rid, "exponents must strictly increase")
+        if not 0 <= 2 * b.l <= b.t:
+            raise DatumValidationError("l-range", rid, f"need 0 <= 2l <= t, got l={b.l}, t={b.t}")
+        for j in range(1, b.l + 1):
+            if b.x(j).twice + b.x(b.t - j + 1).twice < 0:
+                raise DatumValidationError(
+                    "pairing-positivity",
+                    rid,
+                    f"x_{j} + x_{b.t - j + 1} = {b.x(j)} + {b.x(b.t - j + 1)} < 0",
+                )
+        for i in range(b.l + 1, b.t - b.l + 1):
+            if b.x(i).twice < -1:
+                raise DatumValidationError(
+                    "middle-positivity", rid, f"middle exponent x_{i} = {b.x(i)} < -1/2"
+                )
+        if b.eta not in (1, -1):
+            raise DatumValidationError("eta-forcing", rid, "eta must be +1 or -1")
+        forced_plus = b.is_empty or (
+            b.l + 1 <= b.t - b.l and b.x(b.l + 1) == HalfInt(-1)
+        )
+        if forced_plus and b.eta != 1:
+            raise DatumValidationError("eta-forcing", rid, "eta is forced to +1 here")
+        if not b.is_empty and 2 * b.l == b.t and b.eta != -1:
+            raise DatumValidationError("eta-forcing", rid, "eta is forced to -1 when 2l = t")
+        block_sign = (-1) ** (b.t // 2 + b.l) * (b.eta ** b.t)
+        sign_product *= block_sign
+    if sign_product != 1:
+        raise DatumValidationError("global-sign", None, "sign product over blocks is -1")
+    total = d.dimension
+    if total % 2 != d.group.dimension_parity:
+        raise DatumValidationError(
+            "dimension", None, f"total dimension {total} has the wrong parity for {d.group.value}"
+        )
+    n = (total - d.group.dimension_parity) // 2
+    if n < 0:
+        raise DatumValidationError("dimension", None, f"negative rank from dimension {total}")
+    return n
 
 
 def assert_has_vertex_matches_vertices(g) -> None:
@@ -139,7 +205,7 @@ def reference_derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum
     del colored[v]
     del colored[p]
     new_block = parse_colored_vertices(block.rho, colored)
-    result = d.replace_block(rho_id, new_block)
+    result = replace_block(d, rho_id, new_block)
     validate_datum(result)
     return result
 
@@ -659,7 +725,7 @@ def reference_jacquet_expansion(
             for i in range(1, t + 1)
             if ys[i - 1] < block.x(i)
         )
-        rest = d.replace_block(rho_id, _reference_jacquet_block(block, ys))
+        rest = replace_block(d, rho_id, _reference_jacquet_block(block, ys))
         validate_datum(rest)
         pairs.append((segs, rest))
     if merged:

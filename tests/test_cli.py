@@ -60,6 +60,48 @@ def test_validate_bad_eta_names_clause(capsys):
     assert "global-sign" in err
 
 
+def _ladder(group, xs, l, eta):
+    return {"group": group, "X": xs, "l": l, "eta": eta}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            _ladder("Sp", ["0", "1", "1/2"], 0, -1),
+            "[parity] block '1': exponent 1/2 lies outside the label's parity class",
+        ),
+        (_ladder("Sp", ["1", "0", "2"], 0, -1), "[ordering] block '1': exponents must strictly increase"),
+        (_ladder("Sp", ["0", "1"], 2, -1), "[l-range] block '1': need 0 <= 2l <= t, got l=2, t=2"),
+        (
+            _ladder("Sp", ["-3", "0", "2"], 1, 1),
+            "[pairing-positivity] block '1': x_1 + x_3 = -3 + 2 < 0",
+        ),
+        (
+            _ladder("Sp", ["-5/2", "-3/2", "7/2"], 1, 1),
+            "[middle-positivity] block '1': middle exponent x_2 = -3/2 < -1/2",
+        ),
+        (_ladder("Sp", ["-1/2", "3/2"], 0, -1), "[eta-forcing] block '1': eta is forced to +1 here"),
+        (
+            _ladder("Sp", ["-1", "4"], 1, 1),
+            "[eta-forcing] block '1': eta is forced to -1 when 2l = t",
+        ),
+        (BAD_ETA, "[global-sign]: sign product over blocks is -1"),
+        (
+            _ladder("SOodd", ["0", "1", "2"], 1, 1),
+            "[dimension]: total dimension 9 has the wrong parity for SOodd",
+        ),
+        (
+            {"group": "Sp", "blocks": [TWO_BLOCKS["blocks"][0], TWO_BLOCKS["blocks"][0]]},
+            "[duplicate-label]: labels must be distinct",
+        ),
+    ],
+)
+def test_validate_pins_each_clause_message(capsys, data, message):
+    code, out, err = run_cli(capsys, "validate", json.dumps(data))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

@@ -7,6 +7,7 @@ from ladderrep import (
     DatumBlock,
     DatumValidationError,
     GroupKind,
+    HalfInt,
     LadderDatum,
     Parity,
     canonical_form,
@@ -19,7 +20,15 @@ from ladderrep import (
 from ladderrep.jsonio import datum_from_json, datum_to_json
 from ladderrep.render import render_module
 
-from helpers import HALF_LABEL, INT_LABEL, build_corpus, module, random_datum, unipotent
+from helpers import (
+    HALF_LABEL,
+    INT_LABEL,
+    build_corpus,
+    module,
+    random_datum,
+    reference_validate_datum,
+    unipotent,
+)
 import random
 
 
@@ -55,6 +64,58 @@ def test_validate_clause_names(exponents, l, eta, clause):
     with pytest.raises(DatumValidationError) as err:
         validate_datum(d)
     assert err.value.clause == clause
+
+
+def _outcome(validate, d):
+    """The rank, or the clause, block and full message of the failure."""
+    try:
+        return validate(d)
+    except DatumValidationError as err:
+        return err.clause, err.block_id, str(err)
+
+
+def _mutations(d):
+    """Data one edit away from ``d``: each block with eta flipped or zero,
+    one exponent shifted by one or two half-steps either way, or ``l``
+    changed by one or pushed past t/2; the group swapped; a label doubled."""
+    for pos, b in enumerate(d.blocks):
+        edits = [(b.exponents, b.l, e) for e in (-b.eta, 0)]
+        edits += [(b.exponents, l, b.eta) for l in (b.l - 1, b.l + 1, b.t // 2 + 1)]
+        for i in range(b.t):
+            for step in (-2, -1, 1, 2):
+                xs = list(b.exponents)
+                xs[i] = xs[i] + HalfInt(step)
+                edits.append((tuple(xs), b.l, b.eta))
+        for xs, l, eta in edits:
+            blocks = list(d.blocks)
+            blocks[pos] = DatumBlock(b.rho, xs, l, eta)
+            yield LadderDatum(d.group, tuple(blocks))
+    other = GroupKind.SP if d.group is GroupKind.SO_ODD else GroupKind.SO_ODD
+    yield LadderDatum(other, d.blocks)
+    if d.blocks:
+        yield LadderDatum(d.group, d.blocks + d.blocks[-1:])
+
+
+def test_validate_matches_reference_on_mutations(corpus, small_corpus):
+    # every message verbatim: the block clauses run on doubled ints, the
+    # reference on HalfInt objects, as validation did before the split
+    clauses = set()
+    eta_messages = set()
+    for d in list(corpus) + list(small_corpus):
+        for m in _mutations(d):
+            got = _outcome(validate_datum, m)
+            assert got == _outcome(reference_validate_datum, m), m
+            if isinstance(got, tuple):
+                clauses.add(got[0])
+                if got[0] == "eta-forcing":
+                    eta_messages.add(got[2].split(": ", 1)[1])
+    assert clauses == {
+        "duplicate-label", "parity", "ordering", "l-range", "pairing-positivity",
+        "middle-positivity", "eta-forcing", "global-sign", "dimension",
+    }
+    assert eta_messages == {
+        "eta must be +1 or -1", "eta is forced to +1 here", "eta is forced to -1 when 2l = t",
+    }
 
 
 def test_validate_eta_forced_plus_at_minus_half_middle():

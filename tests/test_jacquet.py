@@ -3,18 +3,24 @@
 import pytest
 
 from ladderrep import (
+    DatumBlock,
+    DatumValidationError,
     GroupKind,
+    HalfInt,
     LadderError,
     build_graph,
     jacquet_expansion,
     supp_ladder,
     validate_datum,
 )
+from ladderrep.graph import _jacquet_keys, _Rests
 
 from helpers import (
     reference_derivative,
     reference_jacquet_expansion,
     reference_minimal_vertices,
+    reference_validate_datum,
+    replace_block,
     unipotent,
 )
 from test_jsonio import _data
@@ -141,3 +147,52 @@ def test_expansion_matches_reference(corpus, merged):
         for block in d.blocks:
             expected = reference_jacquet_expansion(d, block.rho.id, merged)
             assert jacquet_expansion(d, block.rho.id, merged) == expected
+
+
+def _reference_rest(d, rho, key):
+    """The rest datum of ``key`` by ``replace_block`` and the reference
+    validation, or the validation failure."""
+    kept, l, eta = key
+    rest = replace_block(d, rho.id, DatumBlock(rho, tuple(HalfInt(y) for y in kept), l, eta))
+    try:
+        reference_validate_datum(rest)
+    except DatumValidationError as err:
+        return str(err)
+    return rest, rest.sort_key()
+
+
+def _fast_rest(rests, key):
+    try:
+        return rests.datum(key), rests.sort_key(key)
+    except DatumValidationError as err:
+        return str(err)
+
+
+def _bad_keys(key):
+    """Hand-made keys one edit from a good one: eta flipped, l one higher,
+    and the first exponent lowered until its pair sum is negative."""
+    kept, l, eta = key
+    yield kept, l, -eta
+    yield kept, l + 1, eta
+    if l and kept:
+        low = kept[0] - 2 * ((kept[0] + kept[-1]) // 2 + 1)
+        yield (low,) + kept[1:], l, eta
+
+
+def test_rest_data_match_reference(corpus, small_corpus):
+    # every distinct rest key of the corpora, the exhaustive small sweep and
+    # the golden data: the rest built from its key is the re-sorted,
+    # re-validated datum, and a bad key fails with the reference's message
+    failures = set()
+    for d in _data(corpus) + list(small_corpus):
+        for block in d.blocks:
+            rests = _Rests(d, block)
+            keys = {rest_key for _, rest_key in _jacquet_keys(block)}
+            for key in keys:
+                assert _fast_rest(rests, key) == _reference_rest(d, block.rho, key)
+                for bad in _bad_keys(key):
+                    got = _fast_rest(rests, bad)
+                    assert got == _reference_rest(d, block.rho, bad)
+                    if isinstance(got, str):
+                        failures.add(got.split("]")[0] + "]")
+    assert failures >= {"[eta-forcing]", "[l-range]", "[pairing-positivity]", "[global-sign]"}

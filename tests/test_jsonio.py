@@ -94,6 +94,7 @@ OUTPUTS = {
 def test_writer_matches_indented_dumps(corpus, output):
     write, to_json, cases = OUTPUTS[output]
     empty = escaped = 0
+    rests = {"no block": 0, "two or more blocks": 0, "escaped label": 0}
     for value in cases(corpus):
         out = io.StringIO()
         write(value, out)
@@ -101,4 +102,13 @@ def test_writer_matches_indented_dumps(corpus, output):
         assert text == json.dumps(to_json(value), indent=2, sort_keys=True) + "\n"
         empty += '"terms": []' in text
         escaped += '"\\u03c1\\"\\\\x"' in text
+        if output == "jacquet":
+            # the rest data's text comes from block and datum templates
+            for term in value:
+                blocks = term.datum.blocks
+                rests["no block"] += not blocks
+                rests["two or more blocks"] += len(blocks) >= 2
+                rests["escaped label"] += any(b.rho == ESCAPED for b in blocks)
     assert empty >= 1 and escaped >= 1
+    if output == "jacquet":
+        assert min(rests.values()) >= 1, rests
