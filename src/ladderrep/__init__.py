@@ -21,10 +21,6 @@ from .core import (
     ZeroRep,
     hi,
     is_zero,
-    make_standard_module,
-    normalize_tempered,
-    sign_condition_holds,
-    steinberg_product,
 )
 from .datum import (
     DatumBlock,

@@ -226,22 +226,6 @@ def factor_key(rid: str, x: int, y: int) -> tuple[tuple[int, int, str, int], ...
     return ((x + y, x, rid, y),) if y <= x else ()
 
 
-def steinberg_product(segments: Iterable[Segment]) -> tuple[Segment, ...] | ZeroRep:
-    """Normalize a product of Steinberg factors under :func:`factor_key`:
-    proper factors are kept, sorted by :meth:`Segment.sort_key`, units are
-    dropped, and a zero factor absorbs the whole product.
-    """
-    kept: list[Segment] = []
-    for seg in segments:
-        key = factor_key(seg.rho.id, seg.x.twice, seg.y.twice)
-        if key is None:
-            return ZERO_REP
-        if key:
-            kept.append(seg)
-    kept.sort(key=Segment.sort_key)
-    return tuple(kept)
-
-
 # ---------------------------------------------------------------------------
 # tempered parameters
 
@@ -306,8 +290,8 @@ class TemperedParam:
     Pieces are kept in canonical sorted order.  Construction enforces the
     structural conditions: equal (label, size) pieces carry equal signs, and
     the total dimension has the parity demanded by the group.  The global
-    sign-product condition is *not* enforced here (normalization may be
-    pending); see :func:`sign_condition_holds`.
+    sign-product condition is *not* enforced here; :func:`check_module_key`
+    checks it on a module's key.
     """
 
     group: GroupKind
@@ -350,27 +334,28 @@ def is_zero(value: object) -> bool:
     return isinstance(value, ZeroRep)
 
 
-def sign_condition_holds(t: TemperedParam) -> bool:
-    """Product of signs over the pieces of positive size equals +1."""
-    prod = 1
-    for p in t.pieces:
-        if p.a >= 1:
-            prod *= p.sign
-    return prod == 1
+def piece_keys(
+    rid: str, pieces: Sequence[tuple[int, int]]
+) -> tuple[tuple[str, int, int], ...] | None:
+    """The keys ``(label id, a, -sign)`` of pieces ``(a, sign)``, unsorted.
 
-
-def normalize_tempered(t: TemperedParam) -> TemperedParam | ZeroRep:
-    """Resolve the size-0 convention pieces.
-
-    A size-0 piece with sign -1 annihilates the parameter; size-0 pieces
-    with sign +1 are dropped.
+    None when a size-0 piece of sign -1 leaves the summand out; size-0
+    pieces of sign +1 are dropped.
     """
-    if any(p.a == 0 and p.sign == -1 for p in t.pieces):
-        return ZERO_REP
-    kept = tuple(p for p in t.pieces if p.a > 0)
-    if len(kept) == len(t.pieces):
-        return t
-    return TemperedParam(t.group, kept)
+    if any(a < 0 for a, _ in pieces):
+        raise AssertionError("negative piece size escaped the membership constraints")
+    if (0, -1) in pieces:
+        return None
+    return tuple((rid, a, -sign) for a, sign in pieces if a)
+
+
+def middle_keys(
+    xs: Sequence[int], rid: str, eta: int, zone: Iterable[int]
+) -> tuple[tuple[str, int, int], ...] | None:
+    """The piece keys of the middle zone, the 1-based indices into the
+    doubled exponents ``xs``: sizes ``x + 1``, signs alternating from ``eta``."""
+    pieces = [(xs[i - 1] + 1, eta if k % 2 == 0 else -eta) for k, i in enumerate(zone)]
+    return piece_keys(rid, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +366,10 @@ def normalize_tempered(t: TemperedParam) -> TemperedParam | ZeroRep:
 class StandardModule:
     """Canonical Langlands-data symbol: sorted segments against a tempered part.
 
-    Values are built through :func:`make_standard_module`, which applies the
-    degeneracy conventions and fixes the canonical segment order, so
-    dataclass equality is equality of canonical keys.
+    Values are built from a key that passed :func:`check_module_key` by
+    :func:`terms_of_keys`, after :func:`factor_key` and :func:`piece_keys`
+    applied the degeneracy conventions, so dataclass equality is equality
+    of canonical keys.
     """
 
     segments: tuple[Segment, ...]
@@ -419,8 +405,8 @@ def check_module_key(
     their labels' parity, every segment has x + y < 0, the sign product is
     +1, and, when ``rank`` is given, the module has that rank.
     """
-    seg_keys, piece_keys = key
-    pieces = [(labels[rid], a, -neg) for rid, a, neg in piece_keys]
+    seg_keys, tempered_keys = key
+    pieces = [(labels[rid], a, -neg) for rid, a, neg in tempered_keys]
     for piece in pieces:
         _check_piece(*piece)
     n = (_check_pieces(group, pieces) - group.dimension_parity) // 2
@@ -444,30 +430,30 @@ def _check_rank(term_rank: int, rank: int) -> None:
         raise RankMismatchError(f"term of rank {term_rank} in an element of rank {rank}")
 
 
-def make_standard_module(
-    segments: Iterable[Segment], tempered: TemperedParam
-) -> StandardModule | ZeroRep:
-    """Assemble a standard module, normalizing all degeneracies.
+def terms_of_keys(
+    group: GroupKind, labels: Mapping[str, CuspidalLabel], items: Iterable[tuple[ModuleKey, int]]
+) -> tuple[tuple[StandardModule, int], ...]:
+    """Each key's module, built directly since the key passed
+    :func:`check_module_key`, with its coefficient.
 
-    Zero factors (either a zero Steinberg factor or an annihilating size-0
-    tempered piece) absorb the whole module, even one with an invalid
-    segment; unit factors are dropped.  The result's key then passes
-    :func:`check_module_key`: every retained segment must have x + y < 0,
-    and the normalized tempered part must satisfy the sign-product
-    condition; violations signal an assembly bug upstream and raise.
+    Equal segment keys share one segment, and equal piece keys one tempered
+    parameter.
     """
-    temp = normalize_tempered(tempered)
-    if is_zero(temp):
-        return ZERO_REP
-    assert isinstance(temp, TemperedParam)
-    kept = steinberg_product(segments)
-    if is_zero(kept):
-        return ZERO_REP
-    module = StandardModule(kept, temp)  # type: ignore[arg-type]
-    labels = {s.rho.id: s.rho for s in module.segments}
-    labels.update((p.rho.id, p.rho) for p in temp.pieces)
-    check_module_key(temp.group, labels, module.sort_key())
-    return module
+    segments: dict[tuple[int, int, str, int], Segment] = {}
+    tempered: dict[tuple[tuple[str, int, int], ...], TemperedParam] = {}
+    terms = []
+    for (seg_keys, tempered_keys), c in items:
+        for k in seg_keys:
+            if k not in segments:
+                segments[k] = Segment(labels[k[2]], HalfInt(k[1]), HalfInt(k[3]))
+        if tempered_keys not in tempered:
+            tempered[tempered_keys] = TemperedParam(
+                group, tuple(TemperedPiece(labels[rid], a, -neg) for rid, a, neg in tempered_keys)
+            )
+        terms.append(
+            (StandardModule(tuple(segments[k] for k in seg_keys), tempered[tempered_keys]), c)
+        )
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------

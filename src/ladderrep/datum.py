@@ -22,10 +22,10 @@ from .core import (
     Segment,
     StandardModule,
     TemperedParam,
-    TemperedPiece,
-    is_zero,
-    make_standard_module,
-    normalize_tempered,
+    check_module_key,
+    factor_key,
+    middle_keys,
+    terms_of_keys,
 )
 
 MINUS_HALF = HalfInt(-1)
@@ -61,10 +61,6 @@ class DatumBlock:
         """1-based exponent accessor."""
         return self.exponents[index - 1]
 
-    @property
-    def dimension(self) -> int:
-        return (sum(x.twice for x in self.exponents) + self.t) * self.rho.d
-
 
 @dataclass(frozen=True)
 class LadderDatum:
@@ -88,10 +84,6 @@ class LadderDatum:
 
     def has_block(self, rho_id: str) -> bool:
         return any(b.rho.id == rho_id for b in self.blocks)
-
-    @property
-    def dimension(self) -> int:
-        return sum(b.dimension for b in self.blocks)
 
     def sort_key(self) -> tuple:
         return (
@@ -163,23 +155,28 @@ def check_total(group: GroupKind, sign: int, dimension: int) -> int:
     return n
 
 
-def validate_datum(d: LadderDatum) -> int:
-    """Check every defining clause; return the group rank n on success.
-
-    The first violated clause is reported by name: duplicate-label, then
-    each block's clauses (:func:`check_block`) in label order, then
-    global-sign and dimension (:func:`check_total`).
-    """
+def check_blocks(d: LadderDatum) -> list[tuple[int, int]]:
+    """Check the duplicate-label clause, then each block's clauses
+    (:func:`check_block`) in label order; return each block's sign and
+    dimension."""
     ids = [b.rho.id for b in d.blocks]
     if len(set(ids)) != len(ids):
         raise DatumValidationError("duplicate-label", None, "labels must be distinct")
-    sign_product = 1
-    total = 0
-    for b in d.blocks:
-        sign, dimension = check_block(b.rho, [x.twice for x in b.exponents], b.l, b.eta)
-        sign_product *= sign
-        total += dimension
-    return check_total(d.group, sign_product, total)
+    return [check_block(b.rho, [x.twice for x in b.exponents], b.l, b.eta) for b in d.blocks]
+
+
+def validate_datum(d: LadderDatum) -> int:
+    """Check every defining clause; return the group rank n on success.
+
+    The first violated clause is reported by name: those of
+    :func:`check_blocks`, then global-sign and dimension
+    (:func:`check_total`).
+    """
+    sign, dimension = 1, 0
+    for s, n in check_blocks(d):
+        sign *= s
+        dimension += n
+    return check_total(d.group, sign, dimension)
 
 
 def canonical_form(d: LadderDatum) -> LadderDatum:
@@ -220,33 +217,37 @@ class LanglandsData:
     tempered: TemperedParam
 
 
-def _datum_parts(d: LadderDatum) -> tuple[list[Segment], TemperedParam]:
-    segments: list[Segment] = []
-    pieces: list[TemperedPiece] = []
-    for b in d.blocks:
-        for j in range(1, b.l + 1):
-            segments.append(Segment(b.rho, b.x(j), -b.x(b.t - j + 1)))
-        for i in range(b.l + 1, b.t - b.l + 1):
-            sign = (-1) ** (i - b.l - 1) * b.eta
-            pieces.append(TemperedPiece(b.rho, b.x(i).twice + 1, sign))
-    return segments, TemperedParam(d.group, tuple(pieces))
-
-
 def standard_module_of(d: LadderDatum) -> StandardModule:
-    """The standard module attached to a validated datum (never zero)."""
-    segments, tempered = _datum_parts(d)
-    module = make_standard_module(segments, tempered)
-    if is_zero(module):
-        raise AssertionError("standard module of a valid datum cannot vanish")
-    assert isinstance(module, StandardModule)
-    return module
+    """The standard module attached to a validated datum (never zero).
+
+    Its key is the identity permutation's summand: each pair ``(x_j,
+    x_{t-j+1})`` gives the Steinberg factor ``[x_j, -x_{t-j+1}]`` and the
+    middle exponents give pieces with signs alternating from eta.  The key
+    passes :func:`check_module_key` and the module is built from it.
+    """
+    seg_keys: list[tuple[int, int, str, int]] = []
+    pieces: list[tuple[str, int, int]] = []
+    for b in d.blocks:
+        t, l, rid = b.t, b.l, b.rho.id
+        xs = [x.twice for x in b.exponents]
+        factors = [factor_key(rid, xs[j], -xs[t - 1 - j]) for j in range(l)]
+        middle = middle_keys(xs, rid, b.eta, range(l + 1, t - l + 1))
+        # a unit or zero factor, or a killed middle, breaks pairing-positivity
+        # or eta-forcing
+        if not all(factors) or middle is None:
+            raise AssertionError("standard module of a valid datum cannot vanish")
+        for factor in factors:
+            seg_keys += factor
+        pieces += middle
+    key = (tuple(sorted(seg_keys)), tuple(sorted(pieces)))
+    labels = {b.rho.id: b.rho for b in d.blocks}
+    check_module_key(d.group, labels, key)
+    return terms_of_keys(d.group, labels, [(key, 1)])[0][0]
 
 
 def langlands_data_of(d: LadderDatum) -> LanglandsData:
     """Same content as :func:`standard_module_of`, keeping the datum's order."""
-    segments, tempered = _datum_parts(d)
-    norm = normalize_tempered(tempered)
-    if is_zero(norm):
-        raise AssertionError("tempered part of a valid datum cannot vanish")
-    assert isinstance(norm, TemperedParam)
-    return LanglandsData(tuple(segments), norm)
+    segments = tuple(
+        Segment(b.rho, b.x(j), -b.x(b.t - j + 1)) for b in d.blocks for j in range(1, b.l + 1)
+    )
+    return LanglandsData(segments, standard_module_of(d).tempered)

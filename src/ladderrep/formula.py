@@ -21,20 +21,20 @@ from typing import Iterator, Sequence
 from .core import (
     CuspidalLabel,
     GrothendieckElement,
-    GroupKind,
     HalfInt,
     LadderError,
     ModuleKey,
     Segment,
     StandardModule,
-    TemperedParam,
-    TemperedPiece,
     ZERO_REP,
     ZeroRep,
     check_module_key,
     factor_key,
     is_zero,
+    middle_keys,
+    piece_keys,
     sum_coefficients,
+    terms_of_keys,
 )
 from .datum import DatumBlock, LadderDatum, MINUS_HALF, validate_datum
 from .graph import supp_ladder
@@ -110,29 +110,6 @@ def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
     ]
 
 
-def _piece_keys(
-    rid: str, pieces: Sequence[tuple[int, int]]
-) -> tuple[tuple[str, int, int], ...] | None:
-    """The keys ``(label id, a, -sign)`` of pieces ``(a, sign)``, unsorted.
-
-    None when a size-0 piece of sign -1 leaves the summand out; size-0
-    pieces of sign +1 are dropped.
-    """
-    if any(a < 0 for a, _ in pieces):
-        raise AssertionError("negative piece size escaped the membership constraints")
-    if (0, -1) in pieces:
-        return None
-    return tuple((rid, a, -sign) for a, sign in pieces if a)
-
-
-def _middle_keys(
-    xs: Sequence[int], rid: str, eta: int, zone: Sequence[int]
-) -> tuple[tuple[str, int, int], ...] | None:
-    """The piece keys of the middle zone, signs alternating from ``eta``."""
-    pieces = [(xs[i - 1] + 1, eta if k % 2 == 0 else -eta) for k, i in enumerate(zone)]
-    return _piece_keys(rid, pieces)
-
-
 # One pair's share: None for a zero Steinberg factor; a tuple of segment keys,
 # empty for a unit factor; or, for an inverted pair, a list of its piece keys
 # under each sign choice, +1 before -1.
@@ -155,7 +132,7 @@ def _pair_share(xs: Sequence[int], rid: str, low: int, high: int) -> _PairShare:
     if low < high:
         return factor_key(rid, xs[low - 1], -xs[high - 1])
     a1, a2 = xs[low - 1] + 1, xs[high - 1] + 1
-    return [_piece_keys(rid, ((a1, sign), (a2, sign))) for sign in (1, -1)]
+    return [piece_keys(rid, ((a1, sign), (a2, sign))) for sign in (1, -1)]
 
 
 def assemble_i_sigma(
@@ -177,7 +154,7 @@ def assemble_i_sigma(
         for j in range(l):
             share = _pair_share(xs, rid, perm[j], perm[t - 1 - j])
             (choices if isinstance(share, list) else segments).append(share)
-        choices.append([_middle_keys(xs, rid, block.eta, perm[l : t - l])])
+        choices.append([middle_keys(xs, rid, block.eta, perm[l : t - l])])
     killed = None in segments
     seg_keys = () if killed else tuple(sorted(itertools.chain(*segments)))  # type: ignore[arg-type]
     keys = [
@@ -188,7 +165,7 @@ def assemble_i_sigma(
     for key in keys:
         if key:
             check_module_key(d.group, labels, key)
-    built = iter(_terms_of_keys(d.group, labels, [(key, 1) for key in keys if key]))
+    built = iter(terms_of_keys(d.group, labels, [(key, 1) for key in keys if key]))
     return [next(built)[0] if key else ZERO_REP for key in keys]
 
 
@@ -234,7 +211,7 @@ def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
         # every pair some tail reads, each checked even if a zero factor skips its tail
         rows = [[pair(a, c) for c in zone_c] for a in zone_a]
         if zone_b not in middles:
-            middles[zone_b] = _middle_keys(xs, rid, block.eta, zone_b)
+            middles[zone_b] = middle_keys(xs, rid, block.eta, zone_b)
         middle = middles[zone_b]
         if middle is None:
             continue
@@ -266,30 +243,6 @@ def _join(key: ModuleKey, share: ModuleKey) -> ModuleKey:
     determines the shares it was made from.
     """
     return tuple(sorted(key[0] + share[0])), tuple(sorted(key[1] + share[1]))
-
-
-def _terms_of_keys(
-    group: GroupKind, labels: dict[str, CuspidalLabel], items: list[tuple[ModuleKey, int]]
-) -> tuple[tuple[StandardModule, int], ...]:
-    """Each key's module, built directly since the key passed
-    :func:`check_module_key`, with its coefficient.
-
-    Equal segment keys share one segment, and equal piece keys one tempered
-    parameter.
-    """
-    segments: dict[tuple[int, int, str, int], Segment] = {}
-    tempered: dict[tuple[tuple[str, int, int], ...], TemperedParam] = {}
-    terms = []
-    for (seg_keys, piece_keys), c in items:
-        for k in seg_keys:
-            if k not in segments:
-                segments[k] = Segment(labels[k[2]], HalfInt(k[1]), HalfInt(k[3]))
-        if piece_keys not in tempered:
-            tempered[piece_keys] = TemperedParam(
-                group, tuple(TemperedPiece(labels[rid], a, -neg) for rid, a, neg in piece_keys)
-            )
-        terms.append((StandardModule(tuple(segments[k] for k in seg_keys), tempered[piece_keys]), c))
-    return tuple(terms)
 
 
 @dataclass(frozen=True)
@@ -346,7 +299,7 @@ def determinantal_formula(d: LadderDatum, projected: bool = True) -> Grothendiec
                 ((rid, x, y) for _, x, rid, y in key[0]),
             )
         ]
-    return GrothendieckElement(rank, _terms_of_keys(d.group, labels, kept))
+    return GrothendieckElement(rank, terms_of_keys(d.group, labels, kept))
 
 
 # ---------------------------------------------------------------------------

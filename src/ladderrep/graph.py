@@ -23,6 +23,7 @@ from .datum import (
     block_sort_key,
     canonical_form,
     check_block,
+    check_blocks,
     check_total,
     validate_datum,
 )
@@ -226,10 +227,13 @@ def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     leaves every other exponent where it is.  The result is None (the zero
     representation) when that drop is not admissible, when x is not an
     exponent of the label, and when the label is absent from the datum.
+    The datum is validated first in every case.
     """
     if not d.has_block(rho_id):
+        validate_datum(d)
         return None
-    block = d.block(rho_id)
+    rests = _Rests(d, rho_id)
+    block = rests.block
     ys = [v.twice for v in block.exponents]
     if x.twice not in ys:
         return None
@@ -237,7 +241,7 @@ def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     floor = _drop_floor(block)
     if any(y < floor(ys, i) for i, y in enumerate(ys)):
         return None
-    return _Rests(d, block).datum(_rest_key(ys, block.l, block.eta))
+    return rests.datum(_rest_key(ys, block.l, block.eta))
 
 
 def is_supercuspidal(d: LadderDatum) -> bool:
@@ -329,28 +333,34 @@ def _rest_key(ys: Sequence[int], l: int, eta: int) -> tuple[tuple[int, ...], int
 
 
 class _Rests:
-    """The rest data of drops of one block of ``d``, built from
+    """The rest data of drops of the block of ``rho_id`` in ``d``, built from
     their keys ``(kept, l, eta)`` with the block's exponents doubled.
 
-    A rest datum is ``d`` with that block replaced by the rest block (left
-    out when ``kept`` is empty), and it is checked as :func:`validate_datum`
-    would check it.  The other blocks are checked once, here, and only the
-    rest block per key; since ``validate_datum`` checks blocks in label
+    ``d`` is validated here, in one pass, each block checked once as
+    :func:`validate_datum` checks it.  A rest datum is ``d`` with that block
+    replaced by the rest block (left out when ``kept`` is empty), and it is
+    checked as :func:`validate_datum` would check it, with only the rest
+    block checked per key; since ``validate_datum`` checks blocks in label
     order and the other blocks pass, the first clause a bad key breaks is
     the one ``validate_datum`` names.  Blocks keep their label order, so no
     re-sort is needed.
     """
 
-    def __init__(self, d: LadderDatum, block: DatumBlock) -> None:
-        pos = d.blocks.index(block)
+    def __init__(self, d: LadderDatum, rho_id: str) -> None:
+        checks = check_blocks(d)
+        sign, dimension = 1, 0
+        for s, n in checks:
+            sign *= s
+            dimension += n
+        check_total(d.group, sign, dimension)
+        self.block = d.block(rho_id)
+        pos = d.blocks.index(self.block)
+        # the fold of the other blocks: signs are +-1, so dividing is multiplying
+        self.sign = sign * checks[pos][0]
+        self.dimension = dimension - checks[pos][1]
         self.group = d.group
-        self.rho = block.rho
+        self.rho = self.block.rho
         self.head, self.tail = d.blocks[:pos], d.blocks[pos + 1 :]
-        self.sign, self.dimension = 1, 0
-        for b in self.head + self.tail:
-            sign, dimension = check_block(b.rho, [x.twice for x in b.exponents], b.l, b.eta)
-            self.sign *= sign
-            self.dimension += dimension
         self.halves: dict[int, HalfInt] = {}
 
     def datum(self, key: tuple) -> LadderDatum:
@@ -426,10 +436,9 @@ def jacquet_expansion(
     then canonically.  Each distinct rest datum is checked and built from
     its key once (:class:`_Rests`), and each distinct segment is built once.
     """
-    validate_datum(d)
-    block = d.block(rho_id)
+    rests = _Rests(d, rho_id)
+    block = rests.block
     rho = block.rho
-    rests = _Rests(d, block)
     keyed = ((key, 1) for key in _jacquet_keys(block))
     if merged:
         # popping frees each key once its term is built; merged terms have

@@ -22,6 +22,8 @@ from ladderrep import (
     JacquetTerm,
     LadderDatum,
     LadderError,
+    LanglandsData,
+    NotStandardModuleError,
     Parity,
     RankMismatchError,
     StandardModule,
@@ -31,6 +33,7 @@ from ladderrep import (
     Segment,
     SigmaElement,
     UnsupportedParameterError,
+    ZERO_REP,
     ZeroRep,
     build_graph,
     derivative,
@@ -38,9 +41,7 @@ from ladderrep import (
     hi,
     is_supercuspidal,
     is_zero,
-    make_standard_module,
     parse_colored_vertices,
-    steinberg_product,
     supp_ladder,
     validate_datum,
 )
@@ -53,6 +54,12 @@ INT_LABEL = CuspidalLabel("1", 1, Parity.INTEGRAL)
 HALF_LABEL = CuspidalLabel("1", 1, Parity.HALF_INTEGRAL)
 
 
+def dimension(blocks: Iterable[DatumBlock]) -> int:
+    """The parameter dimension of the blocks: ``d`` times the sum of ``2x + 1``
+    over the exponents, summed over the blocks."""
+    return sum((sum(x.twice for x in b.exponents) + b.t) * b.rho.d for b in blocks)
+
+
 def unipotent(exponents, l, eta, group=None, parity=None):
     """Single-block datum over the trivial GL(1) label."""
     exps = tuple(hi(s) if isinstance(s, str) else hi(str(s)) for s in exponents)
@@ -61,8 +68,93 @@ def unipotent(exponents, l, eta, group=None, parity=None):
     label = CuspidalLabel("1", 1, parity)
     block = DatumBlock(label, exps, l, eta)
     if group is None:
-        group = GroupKind.SP if block.dimension % 2 else GroupKind.SO_ODD
+        group = GroupKind.SP if dimension([block]) % 2 else GroupKind.SO_ODD
     return LadderDatum.of(group, [block])
+
+
+# ---------------------------------------------------------------------------
+# standard modules on objects: the reference for the key path of ``core``
+# (``factor_key``, ``piece_keys``, ``check_module_key``, ``terms_of_keys``)
+
+
+def steinberg_product(segments: Iterable[Segment]) -> tuple[Segment, ...] | ZeroRep:
+    """Normalize a product of Steinberg factors by segment length: a factor
+    of length 0 is the unit and is dropped, one of negative length is zero
+    and absorbs the product, and the rest are sorted by ``Segment.sort_key``."""
+    kept = []
+    for seg in segments:
+        if seg.length < 0:
+            return ZERO_REP
+        if seg.length > 0:
+            kept.append(seg)
+    return tuple(sorted(kept, key=Segment.sort_key))
+
+
+def normalize_tempered(t: TemperedParam) -> TemperedParam | ZeroRep:
+    """Resolve the size-0 convention pieces: one with sign -1 annihilates the
+    parameter, and those with sign +1 are dropped."""
+    if any(p.a == 0 and p.sign == -1 for p in t.pieces):
+        return ZERO_REP
+    kept = tuple(p for p in t.pieces if p.a > 0)
+    if len(kept) == len(t.pieces):
+        return t
+    return TemperedParam(t.group, kept)
+
+
+def sign_condition_holds(t: TemperedParam) -> bool:
+    """Product of signs over the pieces of positive size equals +1."""
+    prod = 1
+    for p in t.pieces:
+        if p.a >= 1:
+            prod *= p.sign
+    return prod == 1
+
+
+def make_standard_module(
+    segments: Iterable[Segment], tempered: TemperedParam
+) -> StandardModule | ZeroRep:
+    """Assemble a standard module from objects, normalizing all degeneracies.
+
+    A zero factor (a zero Steinberg factor or an annihilating size-0 piece)
+    absorbs the whole module, even one with a bad segment; unit factors are
+    dropped.  Every kept segment must then have x + y < 0, and the tempered
+    part must satisfy the sign-product condition, each refused with the
+    message ``check_module_key`` gives.
+    """
+    temp = normalize_tempered(tempered)
+    kept = steinberg_product(segments)
+    if is_zero(temp) or is_zero(kept):
+        return ZERO_REP
+    for seg in kept:
+        if seg.x.twice + seg.y.twice >= 0:
+            raise NotStandardModuleError(f"segment [{seg.x},{seg.y}] has non-negative exponent sum")
+    if not sign_condition_holds(temp):
+        raise NotStandardModuleError("tempered part violates the sign-product condition")
+    return StandardModule(kept, temp)
+
+
+def reference_datum_parts(d: LadderDatum) -> tuple[list[Segment], TemperedParam]:
+    """The identity permutation's parts as objects: the pair segments in datum
+    order, and the middle pieces, signs alternating from eta."""
+    segments = []
+    pieces = []
+    for b in d.blocks:
+        identity = tuple(range(1, b.t + 1))
+        block_segments, _, fixed = reference_block_parts(b, identity)
+        segments += (Segment(b.rho, HalfInt(x), HalfInt(y)) for x, y in block_segments)
+        pieces += (TemperedPiece(b.rho, a, sign) for a, sign in fixed)
+    return segments, TemperedParam(d.group, tuple(pieces))
+
+
+def reference_standard_module(d: LadderDatum) -> StandardModule | ZeroRep:
+    """The reference for ``standard_module_of``."""
+    return make_standard_module(*reference_datum_parts(d))
+
+
+def reference_langlands_data(d: LadderDatum) -> LanglandsData:
+    """The reference for ``langlands_data_of``."""
+    segments, tempered = reference_datum_parts(d)
+    return LanglandsData(tuple(segments), normalize_tempered(tempered))
 
 
 def module(group, rho, segs, temp) -> StandardModule:
@@ -128,7 +220,7 @@ def reference_validate_datum(d: LadderDatum) -> int:
         sign_product *= block_sign
     if sign_product != 1:
         raise DatumValidationError("global-sign", None, "sign product over blocks is -1")
-    total = d.dimension
+    total = dimension(d.blocks)
     if total % 2 != d.group.dimension_parity:
         raise DatumValidationError(
             "dimension", None, f"total dimension {total} has the wrong parity for {d.group.value}"
@@ -298,8 +390,7 @@ def random_datum(rng: random.Random, max_blocks: int = 2, max_t: int = 5) -> Lad
                 continue
             b = blocks[flippable[0]]
             blocks[flippable[0]] = DatumBlock(b.rho, b.exponents, b.l, -b.eta)
-        total = sum(b.dimension for b in blocks)
-        group = GroupKind.SP if total % 2 else GroupKind.SO_ODD
+        group = GroupKind.SP if dimension(blocks) % 2 else GroupKind.SO_ODD
         datum = LadderDatum.of(group, blocks)
         try:
             validate_datum(datum)
@@ -327,8 +418,7 @@ def enumerate_small(parity: Parity, window: list[str], max_t: int = 4) -> list[L
             for l in range(0, t // 2 + 1):
                 for eta in (1, -1):
                     block = DatumBlock(label, exps, l, eta)
-                    dim = block.dimension
-                    group = GroupKind.SP if dim % 2 else GroupKind.SO_ODD
+                    group = GroupKind.SP if dimension([block]) % 2 else GroupKind.SO_ODD
                     datum = LadderDatum.of(group, [block])
                     try:
                         validate_datum(datum)

@@ -23,7 +23,6 @@ from ladderrep import (
     jacquet_expansion,
     parse_colored_vertices,
     sigma_table,
-    sign_condition_holds,
     standard_module_of,
     supp_ladder,
     validate_datum,
@@ -35,6 +34,7 @@ from helpers import (
     golden_module,
     load_golden,
     reference_minimal_vertices,
+    sign_condition_holds,
     supp_standard_module,
     unipotent,
 )

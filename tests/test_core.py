@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from ladderrep import (
     CuspidalLabel,
+    DatumBlock,
     GroupKind,
     HalfInt,
     InvalidSegmentError,
@@ -18,13 +19,21 @@ from ladderrep import (
     GrothendieckElement,
     hi,
     is_zero,
+)
+from ladderrep.core import check_module_key, factor_key, middle_keys, piece_keys
+
+from helpers import (
+    HALF_LABEL,
+    INT_LABEL,
+    LABEL_POOL,
+    gr_combine,
     make_standard_module,
+    module,
     normalize_tempered,
+    of_module,
+    reference_block_parts,
     steinberg_product,
 )
-from ladderrep.core import check_module_key
-
-from helpers import HALF_LABEL, INT_LABEL, gr_combine, module, of_module
 
 
 halfints = st.integers(min_value=-40, max_value=40).map(HalfInt)
@@ -208,6 +217,149 @@ def test_canonical_key_orders_by_sum_then_start():
     m = module(GroupKind.SO_ODD, INT_LABEL, [("1", "-2"), ("0", "-2"), ("0", "-1")], [])
     keys = [(s.x.twice + s.y.twice, s.x.twice) for s in m.segments]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# the engine's normalization rules on keys, against the object reference
+
+
+def _segments(spec, rho=INT_LABEL):
+    return [Segment(rho, hi(x), hi(y)) for x, y in spec]
+
+
+def _engine_product(segments):
+    """The segment keys of a product under ``factor_key``, sorted; None for zero."""
+    keys = [factor_key(s.rho.id, s.x.twice, s.y.twice) for s in segments]
+    if None in keys:
+        return None
+    return tuple(sorted(k for key in keys for k in key))
+
+
+def _reference_product(segments):
+    product = steinberg_product(segments)
+    return None if is_zero(product) else tuple(s.sort_key() for s in product)
+
+
+def _tempered_keys(param):
+    """``piece_keys`` of a parameter's pieces, sorted, against the reference's
+    normalized parameter."""
+    keys = piece_keys(param.pieces[0].rho.id, [(p.a, p.sign) for p in param.pieces])
+    reference = normalize_tempered(param)
+    expected = None if is_zero(reference) else reference.sort_key()
+    return (None if keys is None else tuple(sorted(keys))), expected
+
+
+# the inputs of the convention tests above and of the module tests below
+SEGMENT_CASES = [
+    _segments([("0", "-2")]),
+    _segments([("-1", "0")]),
+    _segments([("-3/2", "1/2")], HALF_LABEL),
+    _segments([("1/2", "-1/2"), ("-3/2", "1/2")], HALF_LABEL),
+    _segments([("3", "-1"), ("0", "-2")]),
+    _segments([("-3", "0")]),
+    _segments([("2", "-1"), ("-3", "0")]),
+    _segments([("2", "-1")]),
+    _segments([("0", "-2"), ("-1", "-2"), ("-2", "-3"), ("1", "-2")]),
+    _segments([("1", "-2"), ("0", "-2"), ("0", "-1")]),
+]
+
+PIECE_CASES = [
+    _param(GroupKind.SO_ODD, [("-1/2", 1), ("1/2", 1)], HALF_LABEL),
+    _param(GroupKind.SO_ODD, [("-1/2", -1), ("1/2", -1)], HALF_LABEL),
+    _param(GroupKind.SP, [("0", 1), ("1", -1), ("2", -1)]),
+    _param(GroupKind.SP, [("1", 1)]),
+    _param(GroupKind.SP, [("0", -1), ("1", 1), ("2", 1)]),
+]
+
+
+@pytest.mark.parametrize("segments", SEGMENT_CASES)
+def test_factor_key_matches_reference_on_cases(segments):
+    for seg in segments:
+        assert _engine_product([seg]) == _reference_product([seg])
+    assert _engine_product(segments) == _reference_product(segments)
+    assert _engine_product(segments[::-1]) == _reference_product(segments)
+
+
+def test_factor_key_conventions():
+    assert factor_key("1", 0, -4) == ((-4, 0, "1", -4),)
+    assert factor_key("1", 2, 2) == ((4, 2, "1", 2),)  # [1, 1], of length 1
+    assert factor_key("1", -2, 0) == ()  # the unit [-1, 0]
+    assert factor_key("1", -6, 0) is None  # [-3, 0] is zero
+    assert factor_key("1", -6, -2) is None  # y = x + 2, the first zero
+
+
+@pytest.mark.parametrize("param", PIECE_CASES)
+def test_piece_keys_match_reference_on_cases(param):
+    keys, expected = _tempered_keys(param)
+    assert keys == expected
+
+
+def test_piece_keys_conventions():
+    assert piece_keys("1", [(0, 1), (2, 1)]) == (("1", 2, -1),)
+    assert piece_keys("1", [(0, -1), (2, -1)]) is None
+    assert piece_keys("1", []) == ()
+    with pytest.raises(AssertionError):
+        piece_keys("1", [(-1, 1)])
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(LABEL_POOL), st.integers(-6, 6), st.integers(-6, 6)),
+        max_size=6,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_factor_key_matches_reference(spec, rng):
+    segments = []
+    for rho, x, y in spec:
+        shift = 0 if rho.parity is Parity.INTEGRAL else 1
+        segments.append(Segment(rho, HalfInt(2 * x + shift), HalfInt(2 * y + shift)))
+    for seg in segments:
+        assert _engine_product([seg]) == _reference_product([seg])
+    expected = _reference_product(segments)
+    assert _engine_product(segments) == expected
+    rng.shuffle(segments)
+    assert _engine_product(segments) == expected
+
+
+def _pieces_param(rho, sizes_signs):
+    """A parameter with the given pieces, signs made equal on equal sizes and
+    the group chosen by the dimension."""
+    sign_of: dict[int, int] = {}
+    pieces = tuple(TemperedPiece(rho, a, sign_of.setdefault(a, s)) for a, s in sizes_signs)
+    group = GroupKind.SP if sum(rho.d * p.a for p in pieces) % 2 else GroupKind.SO_ODD
+    return TemperedParam(group, pieces)
+
+
+@given(
+    st.sampled_from(LABEL_POOL),
+    st.lists(st.tuples(st.integers(0, 5), st.sampled_from((1, -1))), min_size=1, max_size=6),
+)
+def test_piece_keys_match_reference(rho, spec):
+    # sizes a with exponent (a - 1) / 2 in the label's parity class: 0 only for half-integral labels
+    shift = 1 if rho.parity is Parity.INTEGRAL else 0
+    keys, expected = _tempered_keys(_pieces_param(rho, [(2 * k + shift, s) for k, s in spec]))
+    assert keys == expected
+
+
+@given(
+    st.sampled_from(LABEL_POOL),
+    st.lists(st.integers(0, 12), min_size=1, max_size=7, unique=True),
+    st.sampled_from((1, -1)),
+    st.randoms(use_true_random=False),
+)
+def test_middle_keys_match_reference(rho, steps, eta, rng):
+    # doubled exponents of the label's parity from -1/2 (or 0) up; a random
+    # increasing zone of their 1-based indices
+    low = 0 if rho.parity is Parity.INTEGRAL else -1
+    xs = [low + 2 * k for k in sorted(steps)]
+    zone = tuple(sorted(rng.sample(range(1, len(xs) + 1), rng.randint(0, len(xs)))))
+    block = DatumBlock(rho, tuple(HalfInt(xs[i - 1]) for i in zone), 0, eta)
+    _, _, fixed = reference_block_parts(block, tuple(range(1, len(zone) + 1)))
+    keys = middle_keys(xs, rho.id, eta, zone)
+    reference = normalize_tempered(_pieces_param(rho, fixed))
+    expected = None if is_zero(reference) else reference.sort_key()
+    assert (None if keys is None else tuple(sorted(keys))) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,12 @@ from helpers import (
     build_corpus,
     module,
     random_datum,
+    reference_langlands_data,
+    reference_standard_module,
     reference_validate_datum,
     unipotent,
 )
+from test_jsonio import _data
 import random
 
 
@@ -177,6 +180,15 @@ def test_langlands_alternating_signs():
     d = unipotent([0, 1, 2], 0, -1)
     data = langlands_data_of(d)
     assert [(p.a, p.sign) for p in data.tempered.pieces] == [(1, -1), (3, 1), (5, -1)]
+
+
+def test_standard_module_matches_reference(corpus, small_corpus):
+    # the key path of the engine against the object path of the tests, on
+    # the corpora, the exhaustive small sweep (with non-canonical data) and
+    # the golden data
+    for d in _data(corpus) + list(small_corpus):
+        assert standard_module_of(d) == reference_standard_module(d), d
+        assert langlands_data_of(d) == reference_langlands_data(d), d
 
 
 def test_render_module_notation():

@@ -27,10 +27,7 @@ from ladderrep import (
     gl_determinantal_formula,
     hi,
     is_zero,
-    make_standard_module,
-    sign_condition_holds,
     standard_module_of,
-    steinberg_product,
     validate_datum,
 )
 from ladderrep.formula import _block_perms, _block_shares, permutation_sign
@@ -41,6 +38,7 @@ from helpers import (
     gl_combination_from_items,
     golden_data,
     golden_datum,
+    make_standard_module,
     module,
     reference_assemble,
     reference_block_parts,
@@ -48,6 +46,8 @@ from helpers import (
     reference_expansion,
     reference_gl_expansion,
     reference_minimal_vertices,
+    sign_condition_holds,
+    steinberg_product,
     unipotent,
 )
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ladderrep import (
+    DatumValidationError,
     GraphParseError,
     GroupKind,
     HalfInt,
@@ -35,6 +36,7 @@ from helpers import (
     supp_ladder_by_derivatives,
     unipotent,
 )
+from test_datum import _mutations, _outcome
 
 
 def vertex_set(g):
@@ -225,6 +227,36 @@ def test_derivative_matches_reference(corpus, small_corpus, small_data):
         assert derivative(d, "zz", HalfInt(0)) is None
         assert reference_derivative(d, "zz", HalfInt(0)) is None
     assert 0 < nonzero < calls
+
+
+def _derivative_outcome(d, rho_id, x):
+    try:
+        return derivative(d, rho_id, x)
+    except DatumValidationError as err:
+        return err.clause, err.block_id, str(err)
+
+
+def test_derivative_validates_its_datum(corpus, small_corpus):
+    # at every exponent, one twist that is not an exponent and one absent
+    # label, an invalid datum fails exactly as validate_datum fails on it
+    examples = [([-3, 1, 2], 1, 1, "pairing-positivity"), ([0, 1, 2], 1, -1, "global-sign")]
+    for xs, l, eta, clause in examples:
+        bad = unipotent(xs, l, eta, group=GroupKind.SP)
+        assert _derivative_outcome(bad, "1", hi("1")) == _outcome(validate_datum, bad)
+        assert _outcome(validate_datum, bad)[0] == clause
+    invalid = 0
+    for d in list(corpus) + list(small_corpus):
+        for m in _mutations(d):
+            expected = _outcome(validate_datum, m)
+            calls = [(b.rho.id, x) for b in m.blocks for x in b.exponents + (HalfInt(99),)]
+            for rho_id, x in calls + [("zz", HalfInt(0))]:
+                got = _derivative_outcome(m, rho_id, x)
+                if isinstance(expected, tuple):
+                    assert got == expected, (m, rho_id, x)
+                else:
+                    assert not isinstance(got, tuple), (m, rho_id, x)
+            invalid += isinstance(expected, tuple)
+    assert invalid > 0
 
 
 def test_double_derivative_vanishes_on_corpus(corpus):

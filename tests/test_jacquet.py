@@ -186,7 +186,7 @@ def test_rest_data_match_reference(corpus, small_corpus):
     failures = set()
     for d in _data(corpus) + list(small_corpus):
         for block in d.blocks:
-            rests = _Rests(d, block)
+            rests = _Rests(d, block.rho.id)
             keys = {rest_key for _, rest_key in _jacquet_keys(block)}
             for key in keys:
                 assert _fast_rest(rests, key) == _reference_rest(d, block.rho, key)

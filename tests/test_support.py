@@ -24,6 +24,7 @@ from helpers import (
     HALF_LABEL,
     INT_LABEL,
     LABEL_POOL,
+    dimension,
     exponent_dimension,
     golden_data,
     golden_datum,
@@ -299,7 +300,7 @@ def test_dimension_conservation(corpus):
     for d in corpus[:80]:
         m = standard_module_of(d)
         s = supp_standard_module(m)
-        total = exponent_dimension(s) + s.core.dimension
+        total = exponent_dimension(s) + dimension(s.core.blocks)
         assert total == 2 * m.rank + m.group.dimension_parity
 
 
