@@ -19,14 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .core import LadderError
-from .datum import LadderDatum, langlands_data_of, standard_module_of, validate_datum
-from .formula import determinantal_formula, gl_determinantal_formula, sigma_table
-from .graph import aubert_dual, build_graph, derivative, jacquet_expansion, supp_ladder
-from . import jsonio, render
-from .jsonio import SchemaError
+if TYPE_CHECKING:
+    from .datum import LadderDatum
 
 
 class InputError(Exception):
@@ -57,10 +53,14 @@ def _emit(data: Any) -> None:
 
 
 def _load_datum(source: str) -> LadderDatum:
-    return jsonio.datum_from_json(_read_input(source))
+    from .jsonio import datum_from_json
+
+    return datum_from_json(_read_input(source))
 
 
 def _pick_rho(d: LadderDatum, requested: str | None) -> str:
+    from .core import LadderError
+
     if requested is not None:
         d.block(requested)
         return requested
@@ -72,14 +72,22 @@ def _pick_rho(d: LadderDatum, requested: str | None) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> None:
+    from .core import LadderError
+    from .datum import validate_datum
+    from .jsonio import datum_to_json
+
     d = _load_datum(args.input)
     rank = validate_datum(d)
     if args.expect_rank is not None and rank != args.expect_rank:
         raise LadderError(f"[rank-mismatch]: computed rank {rank}, expected {args.expect_rank}")
-    _emit({"ok": True, "group": d.group.value, "rank": rank, "datum": jsonio.datum_to_json(d)})
+    _emit({"ok": True, "group": d.group.value, "rank": rank, "datum": datum_to_json(d)})
 
 
 def cmd_graph(args: argparse.Namespace) -> None:
+    from .datum import validate_datum
+    from .graph import build_graph
+    from . import render
+
     d = _load_datum(args.input)
     validate_datum(d)
     blocks = [d.block(args.rho)] if args.rho else list(d.blocks)
@@ -94,39 +102,61 @@ def cmd_graph(args: argparse.Namespace) -> None:
 
 
 def cmd_derivative(args: argparse.Namespace) -> None:
+    from .datum import validate_datum
+    from .graph import derivative
+    from .jsonio import datum_to_json, halfint_from_json
+
     d = _load_datum(args.input)
     validate_datum(d)
     rho = _pick_rho(d, args.rho)
-    result = derivative(d, rho, jsonio.halfint_from_json(args.x, "--x"))
+    result = derivative(d, rho, halfint_from_json(args.x, "--x"))
     if result is None:
         _emit({"zero": True})
     else:
-        _emit({"zero": False, "datum": jsonio.datum_to_json(result)})
+        _emit({"zero": False, "datum": datum_to_json(result)})
 
 
 def cmd_supp(args: argparse.Namespace) -> None:
+    from .graph import supp_ladder
+
     d = _load_datum(args.input)
     s = supp_ladder(d)
     if args.format == "text":
-        sys.stdout.write(render.render_support(s) + "\n")
+        from .render import render_support
+
+        sys.stdout.write(render_support(s) + "\n")
     else:
-        _emit(jsonio.support_to_json(s))
+        from .jsonio import support_to_json
+
+        _emit(support_to_json(s))
 
 
 def cmd_jacquet(args: argparse.Namespace) -> None:
+    # no two drops merge, so --raw prints what the merged expansion prints
     d = _load_datum(args.input)
     rho = _pick_rho(d, args.rho)
-    terms = jacquet_expansion(d, rho, merged=not args.raw)
-    if args.k is not None:
-        terms = [t for t in terms if t.gl_size == args.k]
     if args.format == "text":
-        for t in terms:
-            sys.stdout.write(render.render_jacquet_term(t) + "\n")
+        from .graph import jacquet_expansion
+        from .render import render_jacquet_term
+
+        for t in jacquet_expansion(d, rho):
+            if args.k is None or t.gl_size == args.k:
+                sys.stdout.write(render_jacquet_term(t) + "\n")
     else:
-        jsonio.write_jacquet_terms(terms, sys.stdout)
+        from .graph import jacquet_rows
+        from .jsonio import write_jacquet_rows
+
+        rests, rows = jacquet_rows(d, rho)
+        if args.k is not None:
+            rows = [row for row in rows if row[0] == args.k]
+        write_jacquet_rows(rests, rows, sys.stdout)
 
 
 def cmd_aubert(args: argparse.Namespace) -> None:
+    from .datum import langlands_data_of, standard_module_of
+    from .graph import aubert_dual
+    from . import jsonio
+
     d = _load_datum(args.input)
     dual = aubert_dual(d)
     data = langlands_data_of(dual)
@@ -143,6 +173,10 @@ def cmd_aubert(args: argparse.Namespace) -> None:
 
 
 def cmd_det_formula(args: argparse.Namespace) -> None:
+    from .formula import determinantal_formula, sigma_table
+    from .jsonio import write_element
+    from . import render
+
     d = _load_datum(args.input)
     if args.format == "table":
         sys.stdout.write(render.render_table(sigma_table(d)) + "\n")
@@ -151,16 +185,23 @@ def cmd_det_formula(args: argparse.Namespace) -> None:
     if args.format == "text":
         sys.stdout.write(render.render_element(element) + "\n")
     else:
-        jsonio.write_element(element, sys.stdout)
+        write_element(element, sys.stdout)
 
 
 def cmd_gl_det_formula(args: argparse.Namespace) -> None:
-    ladder = jsonio.gl_ladder_from_json(_read_input(args.input))
-    combination = gl_determinantal_formula(ladder)
+    from .jsonio import gl_ladder_from_json
+
+    ladder = gl_ladder_from_json(_read_input(args.input))
     if args.format == "text":
-        sys.stdout.write(render.render_gl_combination(combination) + "\n")
+        from .formula import gl_determinantal_formula
+        from .render import render_gl_combination
+
+        sys.stdout.write(render_gl_combination(gl_determinantal_formula(ladder)) + "\n")
     else:
-        jsonio.write_gl_combination(combination, sys.stdout)
+        from .formula import gl_rows
+        from .jsonio import write_gl_rows
+
+        write_gl_rows(ladder.rho, gl_rows(ladder), sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("jacquet", cmd_jacquet, "full Jacquet expansion along one label")
     p.add_argument("--rho", default=None)
     p.add_argument("--k", type=int, default=None, help="keep only GL size k terms")
-    p.add_argument("--raw", action="store_true", help="per-tuple output, no merging")
+    p.add_argument("--raw", action="store_true", help="one term per tuple (no two merge: the same output)")
     p.add_argument("--format", choices=["json", "text"], default="json")
 
     add("aubert", cmd_aubert, "dual datum and its Langlands data")
@@ -210,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from .core import LadderError
+    from .jsonio import SchemaError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,6 +12,7 @@ of the engine manipulates symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -89,15 +90,19 @@ class LadderDatum:
         return (
             self.group.value,
             tuple(
-                block_sort_key(b.rho, tuple(x.twice for x in b.exponents), b.l, b.eta)
+                (b.rho.id, b.rho.d, b.rho.parity.value, tuple(x.twice for x in b.exponents), b.l, b.eta)
                 for b in self.blocks
             ),
         )
 
+    @cached_property
+    def block_checks(self) -> tuple[tuple[int, int], ...]:
+        """:func:`check_blocks` on this datum, run once per datum object.
 
-def block_sort_key(rho: CuspidalLabel, xs: tuple[int, ...], l: int, eta: int) -> tuple:
-    """One block's part of :meth:`LadderDatum.sort_key`, exponents doubled."""
-    return (rho.id, rho.d, rho.parity.value, xs, l, eta)
+        The datum is immutable, so the result holds for good.  A failure is
+        not cached: it is raised again, with the same message, on each use.
+        """
+        return tuple(check_blocks(self))
 
 
 def check_block(rho: CuspidalLabel, xs: Sequence[int], l: int, eta: int) -> tuple[int, int]:
@@ -170,10 +175,11 @@ def validate_datum(d: LadderDatum) -> int:
 
     The first violated clause is reported by name: those of
     :func:`check_blocks`, then global-sign and dimension
-    (:func:`check_total`).
+    (:func:`check_total`).  The block checks run once per datum object
+    (:attr:`LadderDatum.block_checks`).
     """
     sign, dimension = 1, 0
-    for s, n in check_blocks(d):
+    for s, n in d.block_checks:
         sign *= s
         dimension += n
     return check_total(d.group, sign, dimension)

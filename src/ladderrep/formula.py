@@ -33,12 +33,9 @@ from .core import (
     is_zero,
     middle_keys,
     piece_keys,
-    sum_coefficients,
     terms_of_keys,
 )
 from .datum import DatumBlock, LadderDatum, MINUS_HALF, validate_datum
-from .graph import supp_ladder
-from .support import SupportFilter
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -288,6 +285,10 @@ def determinantal_formula(d: LadderDatum, projected: bool = True) -> Grothendiec
     # is met in term order, as when projecting a built element
     kept = sorted((key, c) for key, c in terms.items() if c)
     if projected:
+        # imported here, so that the general-linear expansion loads neither
+        from .graph import supp_ladder
+        from .support import SupportFilter
+
         support = SupportFilter(supp_ladder(d))
         kept = [
             (key, c)
@@ -339,53 +340,66 @@ class GLCombination:
         return len(self.terms)
 
 
-def gl_determinantal_formula(g: GLLadder) -> GLCombination:
-    """Alternating sum over the permutations of the lower endpoints.
+# A product of a general-linear expansion on doubled ints: its factors'
+# :func:`factor_key` keys, sorted, and its coefficient.
+GLRow = tuple[tuple[tuple[int, int, str, int], ...], int]
+
+
+def gl_rows(g: GLLadder) -> list[GLRow]:
+    """The terms of :func:`gl_determinantal_formula` on doubled ints, sorted.
 
     Only the permutations whose every factor ``[x_i, y_j]`` is nonzero are
-    walked.  The ``y_j`` strictly increase, so the columns row ``i`` may
-    take form a prefix, and the sign is counted as inversions against the
-    columns already used.  Pruning gives the full alternating sum because
-    nothing cancels: the ``x_i`` and the ``y_j`` strictly increase, so a
-    product's kept factors name their rows and columns, and each remaining
-    row, a unit factor ``[x_i, x_i + 1]``, names its column; a product
-    comes from one permutation only.  Products are merged and sorted under
-    their factors' :func:`factor_key`, and each segment of the output is
-    then built once.
+    walked, row by row: level i holds the choices of columns for rows
+    0 .. i, each with its factors' keys and its sign.  The ``y_j`` strictly
+    increase, so the columns row ``i`` may take form a prefix, and the sign
+    is counted as inversions against the columns already used.  Nothing
+    cancels and nothing is merged: the ``x_i`` and the ``y_j`` strictly
+    increase, so a product's kept factors name their rows and columns, and
+    each remaining row, a unit factor ``[x_i, x_i + 1]``, names its column;
+    a product comes from one permutation only, with coefficient +-1.
     """
-    t = g.t
     rid = g.rho.id
-    # per row, each factor before the first zero one: its key, or None for a unit
-    keys: list[list[tuple[int, int, str, int] | None]] = []
+    # per row, each factor before the first zero one: its key, () for a unit
+    keys: list[list[tuple[tuple[int, int, str, int], ...]]] = []
     for x, _ in g.segments:
         keys.append([])
         for _, y in g.segments:
             factor = factor_key(rid, x.twice, y.twice)
             if factor is None:
                 break
-            keys[-1].append(factor[0] if factor else None)
+            keys[-1].append(factor)
     # the prefixes grow with i, so rows 0..i need i + 1 columns among row i's prefix
     if any(len(row) <= i for i, row in enumerate(keys)):
-        return GLCombination(())
-    used = [False] * t
-    chosen: list[tuple[int, int, str, int]] = []
+        return []
+    # (the columns used as a bit set, the factors' keys, the sign); each
+    # level is popped, so that a partial product is freed once extended
+    level: list[tuple[int, tuple, int]] = [(0, (), 1)]
+    for row in keys:
+        extended: list[tuple[int, tuple, int]] = []
+        while level:
+            used, product, sign = level.pop()
+            extended += [
+                (used | 1 << j, product + key, -sign if (used >> j).bit_count() % 2 else sign)
+                for j, key in enumerate(row)
+                if not used >> j & 1
+            ]
+        level = extended
+    rows = []
+    while level:
+        _, product, sign = level.pop()
+        rows.append((tuple(sorted(product)), sign))
+    rows.sort()
+    return rows
 
-    def walk(i: int, sign: int) -> Iterator[tuple[tuple, int]]:
-        if i == t:
-            yield tuple(sorted(chosen)), sign
-            return
-        for j, key in enumerate(keys[i]):
-            if used[j]:
-                continue
-            used[j] = True
-            if key:
-                chosen.append(key)
-            yield from walk(i + 1, -sign if sum(used[j + 1 :]) % 2 else sign)
-            if key:
-                chosen.pop()
-            used[j] = False
 
-    output = [(key, c) for key, c in sorted(sum_coefficients(walk(0, 1)).items()) if c != 0]
-    distinct = {k for key, _ in output for k in key}
-    segment = {k: Segment(g.rho, HalfInt(k[1]), HalfInt(k[3])) for k in distinct}
-    return GLCombination(tuple((tuple(segment[k] for k in key), c) for key, c in output))
+def gl_determinantal_formula(g: GLLadder) -> GLCombination:
+    """Alternating sum over the permutations of the lower endpoints: the
+    terms of :func:`gl_rows`, each segment built once."""
+    segments: dict[tuple[int, int, str, int], Segment] = {}
+    terms = []
+    for product, c in gl_rows(g):
+        for key in product:
+            if key not in segments:
+                segments[key] = Segment(g.rho, HalfInt(key[1]), HalfInt(key[3]))
+        terms.append((tuple([segments[key] for key in product]), c))
+    return GLCombination(tuple(terms))

@@ -16,17 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment, sum_coefficients
-from .datum import (
-    DatumBlock,
-    LadderDatum,
-    block_sort_key,
-    canonical_form,
-    check_block,
-    check_blocks,
-    check_total,
-    validate_datum,
-)
+from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment
+from .datum import DatumBlock, LadderDatum, canonical_form, check_block, check_total, validate_datum
 from .support import SupportMultiset
 
 Vertex = tuple[HalfInt, int]  # (abscissa, height)
@@ -232,7 +223,7 @@ def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     if not d.has_block(rho_id):
         validate_datum(d)
         return None
-    rests = _Rests(d, rho_id)
+    rests = Rests(d, rho_id)
     block = rests.block
     ys = [v.twice for v in block.exponents]
     if x.twice not in ys:
@@ -283,13 +274,16 @@ def supp_ladder(d: LadderDatum) -> SupportMultiset:
 
 @dataclass(frozen=True)
 class JacquetTerm:
-    """One summand: a GL ladder tensored against a smaller ladder datum."""
+    """One summand: a GL ladder tensored against a smaller ladder datum.
+
+    No two drops give equal terms, so ``multiplicity`` is always 1.
+    """
 
     gl_segments: tuple[Segment, ...]
     datum: LadderDatum
     multiplicity: int
 
-    @property
+    @cached_property
     def gl_size(self) -> int:
         return sum(s.rho.d * s.length for s in self.gl_segments)
 
@@ -323,8 +317,8 @@ def _rest_key(ys: Sequence[int], l: int, eta: int) -> tuple[tuple[int, ...], int
     """The rest block ``(kept, l, eta)`` of a drop y of a block with the given l
     and eta, doubled: the exponents with non-negative partner sum, one pair
     fewer per outer partner sum of -1, and eta +1 if empty, -1 if all paired."""
-    kept = tuple(y for y, partner in zip(ys, reversed(ys)) if y + partner >= 0)
-    new_l = l - sum(1 for i in range(l) if ys[i] + ys[-1 - i] == -2)
+    kept = tuple([y for y, partner in zip(ys, reversed(ys)) if y + partner >= 0])
+    new_l = l - [ys[i] + ys[-1 - i] for i in range(l)].count(-2)
     if not kept:
         return kept, new_l, 1
     if 2 * new_l == len(kept):
@@ -332,22 +326,23 @@ def _rest_key(ys: Sequence[int], l: int, eta: int) -> tuple[tuple[int, ...], int
     return kept, new_l, eta
 
 
-class _Rests:
-    """The rest data of drops of the block of ``rho_id`` in ``d``, built from
-    their keys ``(kept, l, eta)`` with the block's exponents doubled.
+class Rests:
+    """The rest data of drops of the block of ``rho_id`` in ``d``, checked and
+    built from their keys ``(kept, l, eta)`` with the block's exponents
+    doubled.
 
-    ``d`` is validated here, in one pass, each block checked once as
-    :func:`validate_datum` checks it.  A rest datum is ``d`` with that block
-    replaced by the rest block (left out when ``kept`` is empty), and it is
-    checked as :func:`validate_datum` would check it, with only the rest
-    block checked per key; since ``validate_datum`` checks blocks in label
-    order and the other blocks pass, the first clause a bad key breaks is
-    the one ``validate_datum`` names.  Blocks keep their label order, so no
-    re-sort is needed.
+    ``d`` is validated here, its blocks checked once per datum object
+    (:attr:`LadderDatum.block_checks`).  A rest datum is ``d`` with that
+    block replaced by the rest block (left out when ``kept`` is empty), and
+    :meth:`check` checks it as :func:`validate_datum` would, with only the
+    rest block checked per key; since ``validate_datum`` checks blocks in
+    label order and the other blocks pass, the first clause a bad key
+    breaks is the one ``validate_datum`` names.  Blocks keep their label
+    order, so no re-sort is needed.
     """
 
     def __init__(self, d: LadderDatum, rho_id: str) -> None:
-        checks = check_blocks(d)
+        checks = d.block_checks
         sign, dimension = 1, 0
         for s, n in checks:
             sign *= s
@@ -363,13 +358,19 @@ class _Rests:
         self.head, self.tail = d.blocks[:pos], d.blocks[pos + 1 :]
         self.halves: dict[int, HalfInt] = {}
 
-    def datum(self, key: tuple) -> LadderDatum:
+    def check(self, key: tuple) -> None:
         kept, l, eta = key
         if not kept:
             check_total(self.group, self.sign, self.dimension)
-            return LadderDatum(self.group, self.head + self.tail)
+            return
         sign, dimension = check_block(self.rho, kept, l, eta)
         check_total(self.group, self.sign * sign, self.dimension + dimension)
+
+    def build(self, key: tuple) -> LadderDatum:
+        """The rest datum of a checked key."""
+        kept, l, eta = key
+        if not kept:
+            return LadderDatum(self.group, self.head + self.tail)
         halves = self.halves
         for y in kept:
             if y not in halves:
@@ -377,96 +378,85 @@ class _Rests:
         rest = DatumBlock(self.rho, tuple([halves[y] for y in kept]), l, eta)
         return LadderDatum(self.group, self.head + (rest,) + self.tail)
 
-    @cached_property
-    def _sort_parts(self) -> tuple[str, tuple, tuple]:
-        """The sort key's group, and the other blocks' parts before and after the rest block."""
-        head, tail = (LadderDatum(self.group, blocks).sort_key() for blocks in (self.head, self.tail))
-        return head[0], head[1], tail[1]
-
-    def sort_key(self, key: tuple) -> tuple:
-        """The rest datum's :meth:`LadderDatum.sort_key`, from its key."""
-        group, head, tail = self._sort_parts
-        kept, l, eta = key
-        if not kept:
-            return group, head + tail
-        return group, head + (block_sort_key(self.rho, kept, l, eta),) + tail
+    def datum(self, key: tuple) -> LadderDatum:
+        self.check(key)
+        return self.build(key)
 
 
-def _jacquet_tuples(block: DatumBlock) -> Iterator[tuple[int, ...]]:
-    """The admissible exponent drops y of a block, as doubled integers."""
-    t = block.t
+# One term of a Jacquet expansion on doubled ints: its GL size; its GL
+# segments [x, y] in row order, as (x + y, x, y), their sort keys on one
+# label; and its rest block's key (kept, l, eta).  The GL segments determine
+# the drop, so rows sort as the terms do, and no two rows are equal.
+JacquetRow = tuple[int, tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], int, int]]
+
+
+def _jacquet_walk(block: DatumBlock) -> list[JacquetRow]:
+    """The admissible drops of a block as rows, unsorted, walked level by
+    level: level i holds the admissible choices of ``y_0 .. y_i``, each with
+    the steps it drops, doubled."""
+    l, eta, d = block.l, block.eta, block.rho.d
     xs = [x.twice for x in block.exponents]
     floor = _drop_floor(block)
-    chosen: list[int] = []
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == t:
-            yield tuple(chosen)
-            return
-        for y in range(floor(chosen, i), xs[i] + 1, 2):
-            chosen.append(y)
-            yield from rec(i + 1)
-            chosen.pop()
-
-    yield from rec(0)
-
-
-def _jacquet_keys(block: DatumBlock) -> Iterator[tuple[tuple, tuple]]:
-    """Each drop's GL segments ``(x, y)`` and rest block ``(kept, l, eta)``, doubled.
-
-    The GL segments are ``[x_i, y_i + 1]`` with unit factors omitted.
-    """
-    l, eta = block.l, block.eta
-    xs = [x.twice for x in block.exponents]
-    for ys in _jacquet_tuples(block):
-        segments = tuple((x, y + 2) for x, y in zip(xs, ys) if y < x)
-        yield segments, _rest_key(ys, l, eta)
-
-
-def jacquet_expansion(
-    d: LadderDatum, rho_id: str, merged: bool = True
-) -> list[JacquetTerm]:
-    """All Jacquet summands supported on twists of one label.
-
-    Each admissible exponent drop y of the block produces a GL ladder (the
-    segments [x_i, y_i + 1], unit factors omitted) tensored with the datum
-    whose block keeps the exponents with non-negative partner sum.  Terms
-    are merged into multiplicities as the drops are walked, under doubled
-    integer keys, unless ``merged`` is false; they are sorted by GL size,
-    then canonically.  Each distinct rest datum is checked and built from
-    its key once (:class:`_Rests`), and each distinct segment is built once.
-    """
-    rests = _Rests(d, rho_id)
-    block = rests.block
-    rho = block.rho
-    keyed = ((key, 1) for key in _jacquet_keys(block))
-    if merged:
-        # popping frees each key once its term is built; merged terms have
-        # distinct sort keys, so the order they are popped in does not matter
-        counts = sum_coefficients(keyed)
-        items = (counts.popitem() for _ in range(len(counts)))
-    else:
-        items = keyed
-    segments: dict[tuple[int, int], Segment] = {}
-    built: dict[tuple, tuple[LadderDatum, tuple]] = {}
-    ordered = []
-    for (seg_keys, rest_key), count in items:
-        if rest_key not in built:
-            built[rest_key] = rests.datum(rest_key), rests.sort_key(rest_key)
-        for xy in seg_keys:
-            if xy not in segments:
-                segments[xy] = Segment(rho, HalfInt(xy[0]), HalfInt(xy[1]))
-        rest, rest_sort = built[rest_key]
-        sort_key = (
-            rho.d * sum((x - y) // 2 + 1 for x, y in seg_keys),  # the GL size
-            # the segments' sort keys (one label), flattened: same order, fewer tuples
-            tuple(k for x, y in seg_keys for k in (x + y, x, y)),
-            rest_sort,
+    # each level is popped, so that a prefix is freed once extended
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for i, x in enumerate(xs):
+        extended: list[tuple[tuple[int, ...], int]] = []
+        while level:
+            ys, dropped = level.pop()
+            extended += [(ys + (y,), dropped + x - y) for y in range(floor(ys, i), x + 1, 2)]
+        level = extended
+    rows = []
+    while level:
+        ys, dropped = level.pop()
+        rows.append(
+            (
+                d * dropped // 2,  # the GL size, d (sum x - sum y) / 2
+                tuple([(x + y + 2, x, y + 2) for x, y in zip(xs, ys) if y < x]),
+                _rest_key(ys, l, eta),
+            )
         )
-        term = JacquetTerm(tuple(segments[xy] for xy in seg_keys), rest, count)
-        ordered.append((sort_key, term))
-    ordered.sort(key=lambda pair: pair[0])
-    return [term for _, term in ordered]
+    return rows
+
+
+def jacquet_rows(d: LadderDatum, rho_id: str) -> tuple[Rests, list[JacquetRow]]:
+    """The Jacquet summands along one label as sorted rows (:data:`JacquetRow`),
+    with the rest data of their keys.
+
+    Each admissible exponent drop y of the block gives one row, walked
+    without merging: its GL ladder (the segments [x_i, y_i + 1], unit
+    factors omitted) and the key of its rest datum, whose block keeps the
+    exponents with non-negative partner sum.  ``d`` is validated, and each
+    distinct rest key is checked (:meth:`Rests.check`), in walk order.
+    """
+    rests = Rests(d, rho_id)
+    rows = _jacquet_walk(rests.block)
+    for key in dict.fromkeys(row[2] for row in rows):
+        rests.check(key)
+    rows.sort()
+    return rests, rows
+
+
+def jacquet_expansion(d: LadderDatum, rho_id: str) -> list[JacquetTerm]:
+    """All Jacquet summands supported on twists of one label, sorted by GL
+    size, then canonically.
+
+    The terms of :func:`jacquet_rows`, each distinct segment and rest
+    datum built once.  No two drops give equal terms, so each multiplicity
+    is 1: the per-drop terms are the merged ones, in the same order.
+    """
+    rests, rows = jacquet_rows(d, rho_id)
+    rho = rests.rho
+    segments: dict[tuple[int, int, int], Segment] = {}
+    data: dict[tuple, LadderDatum] = {}
+    terms = []
+    for _, keys, rest_key in rows:
+        for key in keys:
+            if key not in segments:
+                segments[key] = Segment(rho, HalfInt(key[1]), HalfInt(key[2]))
+        if rest_key not in data:
+            data[rest_key] = rests.build(rest_key)
+        terms.append(JacquetTerm(tuple([segments[key] for key in keys]), data[rest_key], 1))
+    return terms
 
 
 # ---------------------------------------------------------------------------

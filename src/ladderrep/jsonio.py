@@ -7,15 +7,16 @@ failure (exit 2), distinct from domain validation failures (exit 1).
 
 The ``*_to_json`` builders return plain JSON values.  For the three large
 outputs (expansions, general-linear combinations and Jacquet terms),
-``write_element``, ``write_gl_combination`` and ``write_jacquet_terms``
-stream the text ``json.dumps(<x>_to_json(...), indent=2, sort_keys=True)``
-would give, one term at a time, without building the values.
+``write_element``, ``write_gl_rows`` and ``write_jacquet_rows`` stream the
+text ``json.dumps(<x>_to_json(...), indent=2, sort_keys=True)`` would give,
+one term at a time, without building the values; the last two write
+straight from the integer rows of the walks, and build no value at all.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Mapping, TextIO
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, TextIO
 
 from .core import (
     CuspidalLabel,
@@ -29,9 +30,11 @@ from .core import (
     TemperedPiece,
 )
 from .datum import DatumBlock, LadderDatum
-from .formula import GLCombination, GLLadder
-from .graph import JacquetTerm
-from .support import SupportMultiset
+
+if TYPE_CHECKING:
+    from .formula import GLCombination, GLLadder, GLRow
+    from .graph import JacquetRow, JacquetTerm, Rests
+    from .support import SupportMultiset
 
 
 class SchemaError(Exception):
@@ -205,6 +208,8 @@ def jacquet_term_to_json(term: JacquetTerm) -> dict:
 
 
 def gl_ladder_from_json(data: Any) -> GLLadder:
+    from .formula import GLLadder
+
     data = _require_object(data, "ladder")
     segments = []
     for entry in _require_list(data, "segments", "ladder"):
@@ -311,22 +316,24 @@ class _Writer:
             )
         return text
 
-    def half(self, x: HalfInt) -> str:
-        text = self.halves.get(x.twice)
+    def half(self, twice: int) -> str:
+        text = self.halves.get(twice)
         if text is None:
-            text = self.halves[x.twice] = encode_basestring_ascii(str(x))
+            text = self.halves[twice] = encode_basestring_ascii(str(HalfInt(twice)))
         return text
 
-    def segment(self, seg: Segment, level: int) -> str:
-        rho = seg.rho
-        key = (seg.x.twice, seg.y.twice, rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
+    def segment_of(self, rho: CuspidalLabel, x: int, y: int, level: int) -> str:
+        """A segment ``[x, y]`` of ``rho``, exponents doubled."""
+        key = (x, y, rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
         text = self.segs.get(key)
         if text is None:
             text = self.segs[key] = _obj(
-                level,
-                (("rho", self.label(rho, level + 1)), ("x", self.half(seg.x)), ("y", self.half(seg.y))),
+                level, (("rho", self.label(rho, level + 1)), ("x", self.half(x)), ("y", self.half(y)))
             )
         return text
+
+    def segment(self, seg: Segment, level: int) -> str:
+        return self.segment_of(seg.rho, seg.x.twice, seg.y.twice, level)
 
     def segments(self, segs: Iterable[Segment], level: int) -> str:
         return _arr(level, [self.segment(s, level + 1) for s in segs])
@@ -352,10 +359,10 @@ class _Writer:
         )
         return _obj(level, (("segments", self.segments(m.segments, level + 1)), ("tempered", tempered)))
 
-    def block(self, b: DatumBlock, level: int) -> str:
-        """``_obj`` on the fields X, eta, l and rho, from a template cached
-        per label and level, with the values filled in."""
-        rho = b.rho
+    def block_of(self, rho: CuspidalLabel, xs: Iterable[int], l: int, eta: int, level: int) -> str:
+        """``_obj`` on the fields X, eta, l and rho of a block with doubled
+        exponents ``xs``, from a template cached per label and level, with
+        the values filled in."""
         key = (rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
         template = self.blocks.get(key)
         if template is None:
@@ -365,21 +372,24 @@ class _Writer:
                 "," + pad + '"l": ',
                 "," + pad + '"rho": ' + self.label(rho, level + 1) + "\n" + "  " * level + "}",
             )
-        xs, middle, suffix = template
-        return _fill(xs, [self.half(x) for x in b.exponents]) + str(b.eta) + middle + str(b.l) + suffix
+        parts, middle, suffix = template
+        return _fill(parts, [self.half(x) for x in xs]) + str(eta) + middle + str(l) + suffix
 
-    def datum(self, d: LadderDatum, level: int) -> str:
+    def block(self, b: DatumBlock, level: int) -> str:
+        return self.block_of(b.rho, [x.twice for x in b.exponents], b.l, b.eta, level)
+
+    def datum_of(self, group: GroupKind, blocks: list[str], level: int) -> str:
         """``_obj`` on the fields blocks and group, from a template cached per
-        group and level, with the blocks filled in."""
-        key = (d.group is GroupKind.SP, level)
+        group and level, with the rendered blocks (at ``level + 2``) filled in."""
+        key = (group is GroupKind.SP, level)
         template = self.data.get(key)
         if template is None:
             pad = "\n" + "  " * (level + 1)
-            group = encode_basestring_ascii(d.group.value)
+            text = encode_basestring_ascii(group.value)
             template = self.data[key] = _array_parts(
-                "{" + pad + '"blocks": ', level + 1, "," + pad + '"group": ' + group + "\n" + "  " * level + "}"
+                "{" + pad + '"blocks": ', level + 1, "," + pad + '"group": ' + text + "\n" + "  " * level + "}"
             )
-        return _fill(template, [self.block(b, level + 2) for b in d.blocks])
+        return _fill(template, blocks)
 
 
 def write_element(e: GrothendieckElement, out: TextIO) -> None:
@@ -389,29 +399,44 @@ def write_element(e: GrothendieckElement, out: TextIO) -> None:
     _write_top(out, f'"rank": {e.rank},\n  ', terms)
 
 
-def write_gl_combination(c: GLCombination, out: TextIO) -> None:
-    """Write ``gl_combination_to_json(c)`` as the command line prints it."""
+def write_gl_rows(rho: CuspidalLabel, rows: Iterable[GLRow], out: TextIO) -> None:
+    """Write ``gl_combination_to_json`` of the combination of ``rows`` (the
+    products of :func:`~ladderrep.formula.gl_rows`, on the label ``rho``) as
+    the command line prints it, building no value: the text of each segment
+    is rendered once, and each term fills a template per coefficient."""
     w = _Writer()
-    terms = (
-        _obj(2, (("coefficient", str(coeff)), ("product", w.segments(product, 3))))
-        for product, coeff in c.terms
-    )
-    _write_top(out, "", terms)
+    templates: dict[int, tuple[str, str, str, str]] = {}
+
+    def term(product: tuple, c: int) -> str:
+        if c not in templates:
+            templates[c] = _array_parts(f'{{\n      "coefficient": {c},\n      "product": ', 3, "\n    }")
+        return _fill(templates[c], [w.segment_of(rho, key[1], key[3], 4) for key in product])
+
+    _write_top(out, "", (term(product, c) for product, c in rows))
 
 
-def write_jacquet_terms(terms: Iterable[JacquetTerm], out: TextIO) -> None:
-    """Write ``{"terms": [jacquet_term_to_json(t) for t in terms]}`` as the command line prints it."""
+def write_jacquet_rows(rests: Rests, rows: Iterable[JacquetRow], out: TextIO) -> None:
+    """Write ``{"terms": [jacquet_term_to_json(t) ...]}`` for the terms of
+    ``rows`` (:func:`~ladderrep.graph.jacquet_rows`) as the command line
+    prints it, building no value: the text of each rest datum is rendered
+    once per distinct key, and of each segment once per ``(x, y)``, from
+    the writer's templates, and each term fills one template."""
     w = _Writer()
-    texts = (
-        _obj(
-            2,
-            (
-                ("datum", w.datum(t.datum, 3)),
-                ("gl", w.segments(t.gl_segments, 3)),
-                ("gl_size", str(t.gl_size)),
-                ("multiplicity", str(t.multiplicity)),
-            ),
-        )
-        for t in terms
-    )
-    _write_top(out, "", texts)
+    rho, group = rests.rho, rests.group
+    head = [w.block(b, 5) for b in rests.head]
+    tail = [w.block(b, 5) for b in rests.tail]
+    data: dict[tuple, str] = {}
+    gl = _array_parts("", 3, "")
+    template = '{\n      "datum": %s,\n      "gl": %s,\n      "gl_size": %d,\n      "multiplicity": 1\n    }'
+
+    def datum(key: tuple) -> str:
+        kept, l, eta = key
+        rest = [w.block_of(rho, kept, l, eta, 5)] if kept else []
+        text = data[key] = w.datum_of(group, head + rest + tail, 3)
+        return text
+
+    def term(size: int, keys: tuple[tuple[int, int, int], ...], rest_key: tuple) -> str:
+        items = [w.segment_of(rho, key[1], key[2], 4) for key in keys]
+        return template % (data.get(rest_key) or datum(rest_key), _fill(gl, items), size)
+
+    _write_top(out, "", (term(*row) for row in rows))

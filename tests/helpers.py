@@ -8,7 +8,7 @@ import itertools
 import json
 import random
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from ladderrep import (
     CuspidalLabel,
@@ -47,6 +47,7 @@ from ladderrep import (
 )
 from ladderrep.core import sum_coefficients
 from ladderrep.formula import _block_perms, permutation_sign
+from ladderrep.jsonio import _obj, _write_top, _Writer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -831,3 +832,36 @@ def reference_jacquet_expansion(
         )
     )
     return terms
+
+
+# ---------------------------------------------------------------------------
+# object writers: the byte-identity reference for the command line's row
+# writers (``jsonio.write_gl_rows`` and ``jsonio.write_jacquet_rows``)
+
+
+def write_gl_combination(c: GLCombination, out: TextIO) -> None:
+    """Write ``gl_combination_to_json(c)`` as the command line prints it."""
+    w = _Writer()
+    terms = (
+        _obj(2, (("coefficient", str(coeff)), ("product", w.segments(product, 3))))
+        for product, coeff in c.terms
+    )
+    _write_top(out, "", terms)
+
+
+def write_jacquet_terms(terms: Iterable[JacquetTerm], out: TextIO) -> None:
+    """Write ``{"terms": [jacquet_term_to_json(t) for t in terms]}`` as the command line prints it."""
+    w = _Writer()
+    texts = (
+        _obj(
+            2,
+            (
+                ("datum", w.datum_of(t.datum.group, [w.block(b, 5) for b in t.datum.blocks], 3)),
+                ("gl", w.segments(t.gl_segments, 3)),
+                ("gl_size", str(t.gl_size)),
+                ("multiplicity", str(t.multiplicity)),
+            ),
+        )
+        for t in terms
+    )
+    _write_top(out, "", texts)

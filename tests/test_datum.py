@@ -108,6 +108,9 @@ def test_validate_matches_reference_on_mutations(corpus, small_corpus):
         for m in _mutations(d):
             got = _outcome(validate_datum, m)
             assert got == _outcome(reference_validate_datum, m), m
+            # the block checks are cached only on success, so a second call
+            # fails with the same message
+            assert _outcome(validate_datum, m) == got, m
             if isinstance(got, tuple):
                 clauses.add(got[0])
                 if got[0] == "eta-forcing":

@@ -30,7 +30,7 @@ from ladderrep import (
     standard_module_of,
     validate_datum,
 )
-from ladderrep.formula import _block_perms, _block_shares, permutation_sign
+from ladderrep.formula import _block_perms, _block_shares, gl_rows, permutation_sign
 
 from helpers import (
     HALF_LABEL,
@@ -520,3 +520,18 @@ def test_gl_matches_reference():
     assert empty > len(EMPTY_GL_LADDERS)
     for ladder in EMPTY_GL_LADDERS:
         assert gl_determinantal_formula(ladder).terms == ()
+
+
+def test_gl_walk_meets_each_product_once():
+    # the walk merges nothing, which holds because no product comes from two
+    # permutations: the walked products are pairwise distinct, each +-1
+    rng = random.Random(7373)
+    ladders = [_random_gl_ladder(rng, rng.randint(1, 7)) for _ in range(300)]
+    ladders += [_gl_band(rho, t) for rho in (INT_LABEL, HALF_LABEL) for t in range(1, 10)]
+    walked = 0
+    for ladder in ladders:
+        rows = gl_rows(ladder)
+        assert len({product for product, _ in rows}) == len(rows)
+        assert {c for _, c in rows} <= {1, -1}
+        walked += len(rows)
+    assert walked > 2 * 24576  # the two band ladders with t = 9

@@ -1,7 +1,13 @@
 """Every module of the package uses each name it imports (a stdlib ``ast``
-check, since no linter is a dependency)."""
+check, since no linter is a dependency), and the package's public names
+resolve lazily, so that importing the command line imports no engine
+module."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +67,73 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The names the package exported before it resolved them lazily.
+EXPORTED = {
+    "core": [
+        "CuspidalLabel", "GroupKind", "GrothendieckElement", "HalfInt", "InvalidSegmentError",
+        "LadderError", "NotStandardModuleError", "Parity", "RankMismatchError", "Segment",
+        "StandardModule", "TemperedParam", "TemperedPiece", "ZERO_REP", "ZeroRep", "hi", "is_zero",
+    ],
+    "datum": [
+        "DatumBlock", "DatumValidationError", "LadderDatum", "LanglandsData", "canonical_form",
+        "is_canonical", "langlands_data_of", "standard_module_of", "validate_datum",
+    ],
+    "graph": [
+        "GraphParseError", "JacquetTerm", "LadderGraph", "aubert_dual", "build_graph", "derivative",
+        "graph_to_datum", "is_supercuspidal", "jacquet_expansion", "parse_colored_vertices",
+        "supp_ladder",
+    ],
+    "support": ["SupportMultiset", "UnsupportedParameterError", "project_ps", "supp_discrete_series"],
+    "formula": [
+        "GLCombination", "GLLadder", "SigmaElement", "TableRow", "assemble_i_sigma",
+        "determinantal_formula", "enumerate_sigma", "gl_determinantal_formula", "sigma_table",
+    ],
+}
+
+
+def _fresh_python(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that finds this package."""
+    src = str(Path(ladderrep.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+def test_cli_import_loads_no_engine_module():
+    code = (
+        "import sys, ladderrep.cli\n"
+        "print(' '.join(sorted(name for name in sys.modules if name.startswith('ladderrep.'))))\n"
+    )
+    assert _fresh_python(code).split() == ["ladderrep.cli"]
+
+
+def test_every_exported_name_resolves():
+    names = [name for module in EXPORTED.values() for name in module]
+    assert sorted(ladderrep.__all__) == sorted(names)
+    for module, module_names in EXPORTED.items():
+        home = importlib.import_module(f"ladderrep.{module}")
+        for name in module_names:
+            assert getattr(ladderrep, name) is getattr(home, name), name
+    with pytest.raises(AttributeError):
+        ladderrep.no_such_name  # noqa: B018
+    code = (
+        "from ladderrep import *\n"
+        f"names = {names!r}\n"
+        "print(' '.join(name for name in names if name not in globals()))\n"
+    )
+    assert _fresh_python(code).split() == []
+
+
+def test_lazy_names_are_listed_and_bound_on_first_use():
+    # dir() lists every public name before any is resolved, and a resolved
+    # name is bound in the package, so the next access is a plain lookup
+    code = (
+        "import ladderrep\n"
+        "missing = set(ladderrep.__all__) - set(dir(ladderrep))\n"
+        "before = 'HalfInt' in vars(ladderrep)\n"
+        "ladderrep.HalfInt\n"
+        "print(len(missing), before, vars(ladderrep)['HalfInt'] is ladderrep.core.HalfInt)\n"
+    )
+    assert _fresh_python(code).split() == ["0", "False", "True"]

@@ -7,13 +7,16 @@ from ladderrep import (
     DatumValidationError,
     GroupKind,
     HalfInt,
+    LadderDatum,
     LadderError,
     build_graph,
+    derivative,
     jacquet_expansion,
     supp_ladder,
     validate_datum,
 )
-from ladderrep.graph import _jacquet_keys, _Rests
+from ladderrep import datum as datum_module
+from ladderrep.graph import _jacquet_walk, Rests
 
 from helpers import (
     reference_derivative,
@@ -69,7 +72,7 @@ def test_unknown_label_errors():
 def test_raw_mode_matches_merged(corpus):
     for d in corpus[:40]:
         for block in d.blocks:
-            raw = jacquet_expansion(d, block.rho.id, merged=False)
+            raw = reference_jacquet_expansion(d, block.rho.id, merged=False)
             merged = jacquet_expansion(d, block.rho.id)
             assert sum(t.multiplicity for t in merged) == len(raw)
 
@@ -132,12 +135,37 @@ def test_distinct_supports_per_level(corpus):
 
 
 def test_multiplicities_stay_one(corpus):
-    # distinct drops always differ in their GL part, so merging never
-    # exceeds one; kept as a regression guard on the merge key
-    for d in corpus[:60]:
+    # distinct drops always differ in their GL part, so the walk, which
+    # merges nothing, never meets two equal terms: on the corpus, the
+    # exhaustive small sweep and the golden data, along every label
+    for d in _data(corpus):
         for block in d.blocks:
-            for term in jacquet_expansion(d, block.rho.id):
-                assert term.multiplicity == 1
+            terms = jacquet_expansion(d, block.rho.id)
+            assert all(term.multiplicity == 1 for term in terms)
+            assert len({(t.gl_segments, t.datum) for t in terms}) == len(terms)
+            rows = _jacquet_walk(block)
+            assert len({row[1] for row in rows}) == len(rows)
+
+
+def test_derivative_checks_each_block_once(corpus, monkeypatch):
+    # derivative validates its datum on every call, from one check of each
+    # block per datum object
+    calls = []
+    check_block = datum_module.check_block
+
+    def counting(rho, xs, l, eta):
+        calls.append(rho.id)
+        return check_block(rho, xs, l, eta)
+
+    monkeypatch.setattr(datum_module, "check_block", counting)
+    for shared in corpus[:40]:
+        d = LadderDatum(shared.group, shared.blocks)  # a new object, checked by no other test
+        calls.clear()
+        for block in d.blocks:
+            for x in sorted({a for a, _ in build_graph(block).vertices()}):
+                derivative(d, block.rho.id, x)
+        derivative(d, "zz", HalfInt(0))
+        assert sorted(calls) == sorted(b.rho.id for b in d.blocks)
 
 
 @pytest.mark.parametrize("merged", [True, False], ids=["merged", "raw"])
@@ -145,8 +173,9 @@ def test_expansion_matches_reference(corpus, merged):
     # the corpus, the exhaustive small sweep and the golden data, along every label
     for d in _data(corpus):
         for block in d.blocks:
+            # the per-tuple reference terms are the merged ones: no two drops merge
             expected = reference_jacquet_expansion(d, block.rho.id, merged)
-            assert jacquet_expansion(d, block.rho.id, merged) == expected
+            assert jacquet_expansion(d, block.rho.id) == expected
 
 
 def _reference_rest(d, rho, key):
@@ -158,12 +187,12 @@ def _reference_rest(d, rho, key):
         reference_validate_datum(rest)
     except DatumValidationError as err:
         return str(err)
-    return rest, rest.sort_key()
+    return rest
 
 
 def _fast_rest(rests, key):
     try:
-        return rests.datum(key), rests.sort_key(key)
+        return rests.datum(key)
     except DatumValidationError as err:
         return str(err)
 
@@ -186,8 +215,8 @@ def test_rest_data_match_reference(corpus, small_corpus):
     failures = set()
     for d in _data(corpus) + list(small_corpus):
         for block in d.blocks:
-            rests = _Rests(d, block.rho.id)
-            keys = {rest_key for _, rest_key in _jacquet_keys(block)}
+            rests = Rests(d, block.rho.id)
+            keys = {rest_key for _, _, rest_key in _jacquet_walk(block)}
             for key in keys:
                 assert _fast_rest(rests, key) == _reference_rest(d, block.rho, key)
                 for bad in _bad_keys(key):
