@@ -17,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar, Union
 
 
 class LadderError(Exception):
@@ -203,12 +203,6 @@ class Segment:
     def length(self) -> int:
         """Number of exponents, x - y + 1 (can be <= 0 for degenerate input)."""
         return (self.x.twice - self.y.twice) // 2 + 1
-
-    def exponents(self) -> Iterator[HalfInt]:
-        v = self.x
-        while not v < self.y:
-            yield v
-            v = v - 1
 
     def sort_key(self) -> tuple:
         return (self.x.twice + self.y.twice, self.x.twice, self.rho.id, self.y.twice)

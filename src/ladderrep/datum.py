@@ -20,6 +20,7 @@ from .core import (
     GroupKind,
     HalfInt,
     LadderError,
+    ModuleKey,
     Segment,
     StandardModule,
     TemperedParam,
@@ -223,13 +224,12 @@ class LanglandsData:
     tempered: TemperedParam
 
 
-def standard_module_of(d: LadderDatum) -> StandardModule:
-    """The standard module attached to a validated datum (never zero).
+def standard_key(d: LadderDatum) -> ModuleKey:
+    """The key of the standard module of a validated datum (never zero).
 
-    Its key is the identity permutation's summand: each pair ``(x_j,
+    It is the identity permutation's summand: each pair ``(x_j,
     x_{t-j+1})`` gives the Steinberg factor ``[x_j, -x_{t-j+1}]`` and the
-    middle exponents give pieces with signs alternating from eta.  The key
-    passes :func:`check_module_key` and the module is built from it.
+    middle exponents give pieces with signs alternating from eta.
     """
     seg_keys: list[tuple[int, int, str, int]] = []
     pieces: list[tuple[str, int, int]] = []
@@ -245,7 +245,14 @@ def standard_module_of(d: LadderDatum) -> StandardModule:
         for factor in factors:
             seg_keys += factor
         pieces += middle
-    key = (tuple(sorted(seg_keys)), tuple(sorted(pieces)))
+    return tuple(sorted(seg_keys)), tuple(sorted(pieces))
+
+
+def standard_module_of(d: LadderDatum) -> StandardModule:
+    """The standard module attached to a datum, validated first, built from
+    its key (:func:`standard_key`) once that passes :func:`check_module_key`."""
+    validate_datum(d)
+    key = standard_key(d)
     labels = {b.rho.id: b.rho for b in d.blocks}
     check_module_key(d.group, labels, key)
     return terms_of_keys(d.group, labels, [(key, 1)])[0][0]
@@ -253,7 +260,8 @@ def standard_module_of(d: LadderDatum) -> StandardModule:
 
 def langlands_data_of(d: LadderDatum) -> LanglandsData:
     """Same content as :func:`standard_module_of`, keeping the datum's order."""
+    tempered = standard_module_of(d).tempered  # validates d before any segment is built
     segments = tuple(
         Segment(b.rho, b.x(j), -b.x(b.t - j + 1)) for b in d.blocks for j in range(1, b.l + 1)
     )
-    return LanglandsData(segments, standard_module_of(d).tempered)
+    return LanglandsData(segments, tempered)

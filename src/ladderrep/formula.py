@@ -35,7 +35,7 @@ from .core import (
     piece_keys,
     terms_of_keys,
 )
-from .datum import DatumBlock, LadderDatum, MINUS_HALF, validate_datum
+from .datum import DatumBlock, LadderDatum, MINUS_HALF, standard_key, validate_datum
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -269,8 +269,9 @@ def determinantal_formula(d: LadderDatum, projected: bool = True) -> Grothendiec
     of shares (:func:`_block_shares`, a table walk), starting from the first
     block's shares.  Every distinct key, coefficient 0 included, passes
     :func:`check_module_key`.  The nonzero keys are sorted,
-    the projection keeps those whose support is the ladder's, and a module
-    is built only for each key kept.  This equals summing
+    the projection keeps those whose support is the ladder's (that of the
+    standard key, :func:`standard_key`, through the same memos as the
+    keys), and a module is built only for each key kept.  This equals summing
     :func:`assemble_i_sigma` over :func:`enumerate_sigma`, then projecting.
     """
     rank = validate_datum(d)
@@ -285,21 +286,11 @@ def determinantal_formula(d: LadderDatum, projected: bool = True) -> Grothendiec
     # is met in term order, as when projecting a built element
     kept = sorted((key, c) for key, c in terms.items() if c)
     if projected:
-        # imported here, so that the general-linear expansion loads neither
-        from .graph import supp_ladder
+        # imported here, so that the general-linear expansion does not load it
         from .support import SupportFilter
 
-        support = SupportFilter(supp_ladder(d))
-        kept = [
-            (key, c)
-            for key, c in kept
-            if support.keeps(
-                d.group,
-                key[1],
-                ((labels[rid], a, -neg) for rid, a, neg in key[1]),
-                ((rid, x, y) for _, x, rid, y in key[0]),
-            )
-        ]
+        support = SupportFilter.for_key(d.group, labels, standard_key(d))
+        kept = [(key, c) for key, c in kept if support.keeps(d.group, key)]
     return GrothendieckElement(rank, terms_of_keys(d.group, labels, kept))
 
 

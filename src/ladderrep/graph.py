@@ -5,9 +5,11 @@ for the pair (x_j, x_{t-j+1}) running from x_j on the right down to
 -x_{t-j+1} on the left.  Arrows run leftward within a row and down-right
 between consecutive rows, and a central band of rows carries alternating
 +/- colors; everything outside the band is uncolored.  The supercuspidal
-core is the colored part, the full Jacquet expansion enumerates admissible
-exponent drops (a derivative is the rest of a single-step drop), and
-duality reflects the grid through the line swap x+y <-> y.
+core is the colored part.  The support (the uncolored abscissas and the
+core) and duality (the reflection of the grid through the line swap x+y
+<-> y) are read off the exponents, so only the renderings and the round
+trip build graphs.  The full Jacquet expansion enumerates admissible
+exponent drops, and a derivative is the rest of a single-step drop.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment
-from .datum import DatumBlock, LadderDatum, canonical_form, check_block, check_total, validate_datum
-from .support import SupportMultiset
+from .datum import DatumBlock, LadderDatum, canonical_form, check_block, check_total
+from .datum import standard_key, validate_datum
+from .support import SupportMultiset, key_support
 
 Vertex = tuple[HalfInt, int]  # (abscissa, height)
 
@@ -89,12 +92,6 @@ class LadderGraph:
 
     def colored_map(self) -> dict[Vertex, int]:
         return {(a, h): self.color(a, h) for a, h in self.vertices()}
-
-    @property
-    def m(self) -> int:
-        uncolored = sum(1 for a, h in self.vertices() if self.color(a, h) == 0)
-        assert uncolored % 2 == 0
-        return uncolored // 2
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         """All precedence pairs u -> v, horizontal then diagonal."""
@@ -235,37 +232,20 @@ def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     return rests.datum(_rest_key(ys, block.l, block.eta))
 
 
-def is_supercuspidal(d: LadderDatum) -> bool:
-    return all(build_graph(b).m == 0 for b in d.blocks)
-
-
 def supp_ladder(d: LadderDatum) -> SupportMultiset:
-    """Cuspidal support: uncolored abscissas plus the colored core.
+    """Cuspidal support: that of the datum's standard module, read off its
+    key (:func:`standard_key`) without building it; ``d`` is validated first.
 
-    Removing an uncolored minimal vertex contributes its abscissa and the
-    partner's, and the partner involution pairs up the uncolored vertices,
-    so the accumulated exponents are exactly the uncolored abscissas and the
-    core is the colored part of each graph.
+    On a valid datum the middle pieces alternate in sign by index, so only
+    the hole rule of the reduction fires, and it cannot raise
+    :class:`UnsupportedParameterError`.
     """
     validate_datum(d)
-    exponents: dict[CuspidalLabel, list[HalfInt]] = {}
-    core_blocks = []
-    for b in d.blocks:
-        g = build_graph(b)
-        colored: dict[Vertex, int] = {}
-        removed: list[HalfInt] = []
-        for v, c in g.colored_map().items():
-            if c == 0:
-                removed.append(v[0])
-            else:
-                colored[v] = c
-        if removed:
-            exponents[b.rho] = removed
-        if colored:
-            core_blocks.append(parse_colored_vertices(b.rho, colored))
-    core = LadderDatum.of(d.group, core_blocks)
-    validate_datum(core)
-    return SupportMultiset.of(exponents, core)
+    return key_support(d.group, {b.rho.id: b.rho for b in d.blocks}, standard_key(d), ({}, {}))
+
+
+def is_supercuspidal(d: LadderDatum) -> bool:
+    return not supp_ladder(d).exponents
 
 
 # ---------------------------------------------------------------------------
@@ -466,25 +446,31 @@ def jacquet_expansion(d: LadderDatum, rho_id: str) -> list[JacquetTerm]:
 def aubert_dual(d: LadderDatum) -> LadderDatum:
     """The involution swapping horizontal and diagonal arrows, per block.
 
-    Integral labels reflect through (x, y) -> (-x, x+y) with colors kept;
-    half-integral labels shift the reflection by eta/2 and flip colors.  The
-    image is parsed back into a block, and the result is returned in
-    canonical form, which makes supercuspidal data honest fixed points.
+    The graph reflects through (x, y) -> (-x, x+y), shifted up by eta/2 for
+    a half-integral label so that heights stay whole.  Row i (height -i)
+    spans the abscissas [-x_{t-l-i}, x_{l+1+i}].  Each image row is an
+    interval, and its right end, a dual exponent, is -a for the least row i
+    reaching its height.  Duality fixes supercuspidal data, so the dual
+    block's core is the block's core, of size c and sign eta_core (-1 if
+    empty): with t' dual exponents, l' = (t' - c) // 2 and eta' = eta_core
+    (-1)^(t' - c).  The result is in canonical form, which makes
+    supercuspidal data honest fixed points.
     """
-    validate_datum(d)
+    cores = {b.rho.id: b for b in supp_ladder(d).core.blocks}  # validates d
     blocks = []
     for b in d.blocks:
-        g = build_graph(b)
-        integral = b.rho.parity is Parity.INTEGRAL
-        mapped: dict[Vertex, int] = {}
-        for (a, h), color in g.colored_map().items():
-            if integral:
-                image = (-a, (a.twice + 2 * h) // 2)
-                mapped[image] = color
-            else:
-                image = (-a, (a.twice + 2 * h + b.eta) // 2)
-                mapped[image] = -color
-        blocks.append(parse_colored_vertices(b.rho, mapped))
+        xs, t, l = [x.twice for x in b.exponents], b.t, b.l
+        shift = 0 if b.rho.parity is Parity.INTEGRAL else b.eta
+        ends: dict[int, int] = {}  # per image height, the right end, doubled
+        for i in range(-l, t - l):
+            right, left = xs[l + i], -xs[t - l - i - 1]
+            for h in range((left + shift) // 2 - i, (right + shift) // 2 - i + 1):
+                ends.setdefault(h, shift - 2 * (h + i))
+        core = cores.get(b.rho.id)
+        c, eta = (core.t, core.eta) if core else (0, -1)
+        rest = len(ends) - c
+        exponents = tuple([HalfInt(ends[h]) for h in sorted(ends, reverse=True)])
+        blocks.append(DatumBlock(b.rho, exponents, rest // 2, eta * (-1) ** rest))
     result = canonical_form(LadderDatum.of(d.group, blocks))
     validate_datum(result)
     return result

@@ -22,6 +22,7 @@ from .core import (
     GrothendieckElement,
     HalfInt,
     LadderError,
+    ModuleKey,
     TemperedParam,
 )
 from .datum import DatumBlock, LadderDatum, canonical_form, validate_datum
@@ -118,38 +119,39 @@ def _reduce_label(
 
 def _tail(
     group: GroupKind,
-    pieces: Iterable[tuple[CuspidalLabel, int, int]],
+    labels: Mapping[str, CuspidalLabel],
+    pieces: Iterable[tuple[str, int, int]],
     reductions: dict,
     cores: dict,
-) -> tuple[dict[CuspidalLabel, list[int]], LadderDatum]:
+) -> tuple[dict[str, list[int]], LadderDatum]:
     """Support of a multiplicity-free, size-0-free tempered part.
 
-    The pieces ``(label, size, sign)`` come in :meth:`TemperedPiece.sort_key`
-    order.  Returns the doubled exponents per label and the validated core,
-    not yet in canonical form.  For as long as the caller keeps them,
-    ``reductions`` memoizes :func:`_reduce_label` per (label, pieces) and
-    ``cores`` the validated core per (group, core blocks).
+    The pieces are sorted keys ``(label id, size, -sign)``.  Returns the
+    doubled exponents per label id and the validated core, not yet in
+    canonical form.  For as long as the caller keeps them, ``reductions``
+    memoizes :func:`_reduce_label` per (label id, pieces) and ``cores`` the
+    validated core per (group, core blocks).
     """
-    by_label: dict[CuspidalLabel, list[tuple[int, int]]] = {}
-    for rho, a, sign in pieces:
+    by_label: dict[str, list[tuple[int, int]]] = {}
+    for rid, a, neg in pieces:
         if a == 0:
             raise UnsupportedParameterError("parameter must be normalized (no size-0 pieces)")
-        slot = by_label.setdefault(rho, [])
+        slot = by_label.setdefault(rid, [])
         if slot and slot[-1][0] == a - 1:  # equal sizes are adjacent in sorted order
             raise UnsupportedParameterError(
-                f"label {rho.id!r}: repeated piece of size {a} is unsupported"
+                f"label {rid!r}: repeated piece of size {a} is unsupported"
             )
-        slot.append((a - 1, sign))
-    exponents: dict[CuspidalLabel, list[int]] = {}
+        slot.append((a - 1, -neg))
+    exponents: dict[str, list[int]] = {}
     blocks = []
-    for rho in sorted(by_label, key=lambda r: r.id):
-        key = (rho, tuple(by_label[rho]))
+    for rid in sorted(by_label):
+        key = (rid, tuple(by_label[rid]))
         reduced = reductions.get(key)
         if reduced is None:
-            reduced = reductions[key] = _reduce_label(rho, key[1])
+            reduced = reductions[key] = _reduce_label(labels[rid], key[1])
         collected, core_block = reduced
         if collected:
-            exponents[rho] = collected
+            exponents[rid] = collected
         if core_block is not None:
             blocks.append(core_block)
     key = (group, tuple(blocks))
@@ -163,14 +165,38 @@ def _tail(
 
 def supp_discrete_series(t: TemperedParam) -> SupportMultiset:
     """Support of a multiplicity-free, size-0-free tempered parameter."""
-    exponents, core = _tail(t.group, [(p.rho, p.a, p.sign) for p in t.pieces], {}, {})
-    return SupportMultiset.of(
-        {rho: [HalfInt(v) for v in values] for rho, values in exponents.items()}, core
-    )
+    labels = {p.rho.id: p.rho for p in t.pieces}
+    return key_support(t.group, labels, ((), t.sort_key()), ({}, {}))
+
+
+def _exponents(
+    tail: Mapping[str, list[int]], segments: Iterable[tuple[int, int, str, int]]
+) -> dict[str, list[int]]:
+    """A tempered part's exponents plus, per segment key ``(x + y, x, label
+    id, y)``, the exponents x..y and their negatives: sorted doubled ints
+    per label id."""
+    got = {rid: list(values) for rid, values in tail.items()}
+    for _, x, rid, y in segments:
+        slot = got.setdefault(rid, [])
+        for v in range(y, x + 1, 2):
+            slot += (v, -v)
+    return {rid: sorted(values) for rid, values in got.items()}
+
+
+def key_support(
+    group: GroupKind, labels: Mapping[str, CuspidalLabel], key: ModuleKey, memos: tuple[dict, dict]
+) -> SupportMultiset:
+    """Support of the module of a key: its tempered part's (:func:`_tail`,
+    with the memos ``reductions, cores``) plus its segments' exponents and
+    their negatives."""
+    tail, core = _tail(group, labels, key[1], *memos)
+    exponents = _exponents(tail, key[0])
+    return SupportMultiset.of({labels[rid]: map(HalfInt, v) for rid, v in exponents.items()}, core)
 
 
 class SupportFilter:
-    """The test ``support(module) == target``, on modules given by their parts.
+    """The test ``support(module) == target`` on module keys, their labels
+    looked up by id in ``labels``.
 
     A module's support is its tempered part's support plus, per segment
     ``[x, y]``, the exponents ``x..y`` and their negatives; exponents are
@@ -179,55 +205,42 @@ class SupportFilter:
     per filter, and each distinct core is validated once.
     """
 
-    def __init__(self, target: SupportMultiset) -> None:
+    def __init__(self, target: SupportMultiset, labels: Mapping[str, CuspidalLabel]) -> None:
         self.core = target.core
         self.wanted = {rho.id: [v.twice for v in values] for rho, values in target.exponents}
+        self.labels = labels
         self.tails: dict[Hashable, dict[str, list[int]] | None] = {}
         self.reductions: dict = {}
         self.cores: dict = {}
 
-    def keeps(
-        self,
-        group: GroupKind,
-        tail_key: Hashable,
-        pieces: Iterable[tuple[CuspidalLabel, int, int]],
-        segments: Iterable[tuple[str, int, int]],
-    ) -> bool:
-        """Whether the module has the target support.
+    @staticmethod
+    def for_key(
+        group: GroupKind, labels: Mapping[str, CuspidalLabel], key: ModuleKey
+    ) -> "SupportFilter":
+        """The filter aimed at the support of the module of ``key``
+        (:func:`key_support`), computed through the filter's memos."""
+        memos: tuple[dict, dict] = ({}, {})
+        support = SupportFilter(key_support(group, labels, key, memos), labels)
+        support.reductions, support.cores = memos
+        return support
 
-        ``tail_key`` names the tempered part, whose ``pieces`` are read only
-        the first time it is met; ``segments`` are ``(label id, 2x, 2y)``.
+    def keeps(self, group: GroupKind, key: ModuleKey) -> bool:
+        """Whether the module of ``key`` has the target support.
+
+        Its tempered part, whose dimension fixes the group, is reduced the
+        first time it is met.
         """
-        if tail_key in self.tails:
-            tail = self.tails[tail_key]
-        else:
-            exponents, core = _tail(group, pieces, self.reductions, self.cores)
-            tail = self.tails[tail_key] = (
-                {rho.id: values for rho, values in exponents.items()}
-                if canonical_form(core) == self.core
-                else None
-            )
-        if tail is None:
-            return False
-        got = {rid: list(values) for rid, values in tail.items()}
-        for rid, x, y in segments:
-            slot = got.setdefault(rid, [])
-            for v in range(y, x + 1, 2):
-                slot += (v, -v)
-        return {rid: sorted(values) for rid, values in got.items()} == self.wanted
+        seg_keys, tail_key = key
+        if tail_key not in self.tails:
+            exponents, core = _tail(group, self.labels, tail_key, self.reductions, self.cores)
+            self.tails[tail_key] = exponents if canonical_form(core) == self.core else None
+        tail = self.tails[tail_key]
+        return tail is not None and _exponents(tail, seg_keys) == self.wanted
 
 
 def project_ps(target: SupportMultiset, elem: GrothendieckElement) -> GrothendieckElement:
     """Keep exactly the terms whose support equals the target."""
-    support = SupportFilter(target)
-    kept = [
-        (m, c)
-        for m, c in elem.terms
-        if support.keeps(
-            m.group,
-            m.tempered,
-            ((p.rho, p.a, p.sign) for p in m.tempered.pieces),
-            ((s.rho.id, s.x.twice, s.y.twice) for s in m.segments),
-        )
-    ]
+    labels = {x.rho.id: x.rho for m, _ in elem.terms for x in m.segments + m.tempered.pieces}
+    support = SupportFilter(target, labels)
+    kept = [(m, c) for m, c in elem.terms if support.keeps(m.group, m.sort_key())]
     return GrothendieckElement(elem.rank, tuple(kept))  # a subsequence of sorted, merged terms

@@ -36,6 +36,7 @@ from ladderrep import (
     ZERO_REP,
     ZeroRep,
     build_graph,
+    canonical_form,
     derivative,
     enumerate_sigma,
     hi,
@@ -549,13 +550,93 @@ def supp_standard_module(s: StandardModule) -> SupportMultiset:
     }
     for seg in s.segments:
         slot = exponents.setdefault(seg.rho, [])
-        for v in seg.exponents():
+        for v in segment_exponents(seg):
             slot.extend([v, -v])
     return SupportMultiset.of(exponents, tail.core)
 
 
 # ---------------------------------------------------------------------------
 # reference implementations
+
+
+def segment_exponents(seg: Segment) -> Iterator[HalfInt]:
+    """The exponents x, x-1, ..., y of a segment, stepped by ``HalfInt``."""
+    v = seg.x
+    while not v < seg.y:
+        yield v
+        v = v - 1
+
+
+def graph_m(g) -> int:
+    """Half the number of uncolored vertices of a graph: the number of
+    derivative steps down to its core."""
+    uncolored = sum(1 for a, h in g.vertices() if g.color(a, h) == 0)
+    assert uncolored % 2 == 0
+    return uncolored // 2
+
+
+def reference_is_supercuspidal(d: LadderDatum) -> bool:
+    """No block graph has an uncolored vertex: the reference for
+    ``is_supercuspidal``."""
+    return all(graph_m(build_graph(b)) == 0 for b in d.blocks)
+
+
+def reference_supp_ladder(d: LadderDatum) -> SupportMultiset:
+    """Cuspidal support: uncolored abscissas plus the colored core.
+
+    Removing an uncolored minimal vertex contributes its abscissa and the
+    partner's, and the partner involution pairs up the uncolored vertices,
+    so the accumulated exponents are exactly the uncolored abscissas and the
+    core is the colored part of each graph.  The reference for
+    ``supp_ladder``.
+    """
+    validate_datum(d)
+    exponents: dict[CuspidalLabel, list[HalfInt]] = {}
+    core_blocks = []
+    for b in d.blocks:
+        g = build_graph(b)
+        colored: dict[tuple[HalfInt, int], int] = {}
+        removed: list[HalfInt] = []
+        for v, c in g.colored_map().items():
+            if c == 0:
+                removed.append(v[0])
+            else:
+                colored[v] = c
+        if removed:
+            exponents[b.rho] = removed
+        if colored:
+            core_blocks.append(parse_colored_vertices(b.rho, colored))
+    core = LadderDatum.of(d.group, core_blocks)
+    validate_datum(core)
+    return SupportMultiset.of(exponents, core)
+
+
+def reference_aubert_dual(d: LadderDatum) -> LadderDatum:
+    """The involution swapping horizontal and diagonal arrows, per block.
+
+    Integral labels reflect through (x, y) -> (-x, x+y) with colors kept;
+    half-integral labels shift the reflection by eta/2 and flip colors.  The
+    image is parsed back into a block, and the result is returned in
+    canonical form, which makes supercuspidal data honest fixed points.  The
+    reference for ``aubert_dual``.
+    """
+    validate_datum(d)
+    blocks = []
+    for b in d.blocks:
+        g = build_graph(b)
+        integral = b.rho.parity is Parity.INTEGRAL
+        mapped: dict[tuple[HalfInt, int], int] = {}
+        for (a, h), color in g.colored_map().items():
+            if integral:
+                image = (-a, (a.twice + 2 * h) // 2)
+                mapped[image] = color
+            else:
+                image = (-a, (a.twice + 2 * h + b.eta) // 2)
+                mapped[image] = -color
+        blocks.append(parse_colored_vertices(b.rho, mapped))
+    result = canonical_form(LadderDatum.of(d.group, blocks))
+    validate_datum(result)
+    return result
 
 
 def _first_removable(d: LadderDatum) -> tuple[str, HalfInt] | None:

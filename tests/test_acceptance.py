@@ -35,6 +35,7 @@ from helpers import (
     load_golden,
     reference_minimal_vertices,
     sign_condition_holds,
+    segment_exponents,
     supp_standard_module,
     unipotent,
 )
@@ -168,7 +169,7 @@ def test_criterion_6_support_consistency(corpus):
             assert projected.coefficient(m) == 0
         kept = [m for m, _ in projected.terms]
         assert all(supp_standard_module(m) == target for m in kept)
-    _passed(6, f"graph and reduction supports agree on {len(corpus)} data; projection verdicts reproduced")
+    _passed(6, f"ladder and standard-module supports agree on {len(corpus)} data; projection verdicts reproduced")
 
 
 def test_criterion_7_derivative_laws(corpus):
@@ -228,7 +229,7 @@ def test_criterion_8_structural_invariants(corpus):
             by_size = {}
             for term in jacquet_expansion(d, block.rho.id):
                 gl_support = tuple(
-                    sorted(v.twice for s in term.gl_segments for v in s.exponents())
+                    sorted(v.twice for s in term.gl_segments for v in segment_exponents(s))
                 )
                 key = (gl_support, supp_ladder(term.datum))
                 bucket = by_size.setdefault(term.gl_size, set())

@@ -10,16 +10,21 @@ from ladderrep import (
     GraphParseError,
     GroupKind,
     HalfInt,
+    aubert_dual,
     build_graph,
     canonical_form,
     derivative,
+    determinantal_formula,
     graph_to_datum,
     hi,
     is_supercuspidal,
+    langlands_data_of,
     parse_colored_vertices,
+    standard_module_of,
     supp_ladder,
     validate_datum,
 )
+from ladderrep import graph as graph_module
 from ladderrep.render import ascii_graph, dot_graph
 
 from helpers import (
@@ -28,15 +33,20 @@ from helpers import (
     assert_has_vertex_matches_vertices,
     golden_data,
     golden_datum,
+    graph_m,
     partner,
     random_datum,
+    reference_aubert_dual,
     reference_derivative,
+    reference_is_supercuspidal,
     reference_minimal_vertices,
+    reference_supp_ladder,
     reference_vertices,
     supp_ladder_by_derivatives,
     unipotent,
 )
 from test_datum import _mutations, _outcome
+from test_jsonio import _data
 
 
 def vertex_set(g):
@@ -51,7 +61,7 @@ def test_single_row_graph():
     g = build_graph(unipotent([1], 0, 1).blocks[0])
     assert vertex_set(g) == {("1", 0), ("0", 0), ("-1", 0)}
     assert colored_str(g) == {("1", 0): 0, ("0", 0): 1, ("-1", 0): 0}
-    assert g.m == 1
+    assert graph_m(g) == 1
 
 
 def test_first_drawn_figure():
@@ -312,7 +322,7 @@ def test_supp_ladder_one_step():
 
 def test_supp_ladder_step_count_is_m(corpus):
     for d in corpus:
-        total_m = sum(build_graph(b).m for b in d.blocks)
+        total_m = sum(graph_m(build_graph(b)) for b in d.blocks)
         s = supp_ladder(d)
         assert sum(len(v) for _, v in s.exponents) == 2 * total_m
 
@@ -324,7 +334,7 @@ def test_supp_ladder_matches_derivative_iteration(corpus):
 
 def test_each_derivative_step_lowers_m_by_one(corpus):
     def total_m(datum):
-        return sum(build_graph(b).m for b in datum.blocks)
+        return sum(graph_m(build_graph(b)) for b in datum.blocks)
 
     for d in corpus[:60]:
         for block in d.blocks:
@@ -367,6 +377,64 @@ def test_supp_ladder_core_is_colored_part(corpus):
 
         direct = canonical_form(LadderDatum.of(d.group, blocks))
         assert s.core == direct
+
+
+def test_support_dual_and_supercuspidality_match_the_references(corpus, small_corpus):
+    # on the corpus, the exhaustive small sweep (non-canonical data
+    # included), the golden data, the escaped label, the small corpus and
+    # 2,000 random data with t <= 9
+    rng = random.Random(20261020)
+    data = _data(corpus) + small_corpus + [random_datum(rng, max_t=9) for _ in range(2000)]
+    assert max(b.t for d in data for b in d.blocks) == 9
+    fixed = 0
+    for d in data:
+        assert supp_ladder(d) == reference_supp_ladder(d), d
+        assert aubert_dual(d) == reference_aubert_dual(d), d
+        assert is_supercuspidal(d) == reference_is_supercuspidal(d), d
+        fixed += is_supercuspidal(d)
+    assert 0 < fixed < len(data)
+
+
+def test_supports_and_duals_do_not_build_graphs(corpus, monkeypatch):
+    # the graph, its colored map and its parser are left to the renderers
+    # and the round trip
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph surgery on a computation path")
+
+    monkeypatch.setattr(graph_module, "build_graph", refuse)
+    monkeypatch.setattr(graph_module, "parse_colored_vertices", refuse)
+    monkeypatch.setattr(graph_module.LadderGraph, "colored_map", refuse)
+    for d in corpus:
+        supp_ladder(d)
+        aubert_dual(d)
+        is_supercuspidal(d)
+        determinantal_formula(d)
+
+
+def _validation_outcome(f, d):
+    try:
+        f(d)
+    except DatumValidationError as err:
+        return err.clause, err.block_id, str(err)
+    return None
+
+
+def test_datum_readers_validate_their_datum(corpus, small_corpus):
+    # an invalid datum fails exactly as validate_datum fails on it, before
+    # anything is read off it
+    readers = [is_supercuspidal, standard_module_of, langlands_data_of, supp_ladder, aubert_dual]
+    invalid = 0
+    for d in list(corpus) + list(small_corpus):
+        for m in _mutations(d):
+            expected = _outcome(validate_datum, m)
+            for f in readers:
+                got = _validation_outcome(f, m)
+                if isinstance(expected, tuple):
+                    assert got == expected, (f.__name__, m)
+                else:
+                    assert got is None, (f.__name__, m)
+            invalid += isinstance(expected, tuple)
+    assert invalid > 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from helpers import (
     reference_minimal_vertices,
     reference_validate_datum,
     replace_block,
+    segment_exponents,
     unipotent,
 )
 from test_jsonio import _data
@@ -126,12 +127,34 @@ def test_distinct_supports_per_level(corpus):
             by_size = {}
             for term in jacquet_expansion(d, block.rho.id):
                 gl_support = tuple(
-                    sorted(v.twice for s in term.gl_segments for v in s.exponents())
+                    sorted(v.twice for s in term.gl_segments for v in segment_exponents(s))
                 )
                 key = (gl_support, supp_ladder(term.datum))
                 bucket = by_size.setdefault(term.gl_size, set())
                 assert key not in bucket
                 bucket.add(key)
+
+
+def test_jacquet_terms_keep_the_support(corpus):
+    # the exponents of a term's GL segments, with their negatives, plus the
+    # support of its rest datum are the support of the datum: along every
+    # label of corpus[:80], the exhaustive small sweep and the golden data
+    terms = 0
+    for d in _data(corpus[:80]):
+        whole = supp_ladder(d)
+        wanted = {rho.id: [v.twice for v in values] for rho, values in whole.exponents}
+        for block in d.blocks:
+            for term in jacquet_expansion(d, block.rho.id):
+                rest = supp_ladder(term.datum)
+                got = {rho.id: [v.twice for v in values] for rho, values in rest.exponents}
+                for s in term.gl_segments:
+                    got.setdefault(s.rho.id, []).extend(
+                        w for v in segment_exponents(s) for w in (v.twice, -v.twice)
+                    )
+                assert {rid: sorted(values) for rid, values in got.items()} == wanted, (d, term)
+                assert rest.core == whole.core, (d, term)
+                terms += 1
+    assert terms > 5000
 
 
 def test_multiplicities_stay_one(corpus):
