@@ -7,16 +7,19 @@ from the middle zone.  Each permutation contributes a product of segments
 (for pairs kept in Langlands position) induced against a direct sum of
 tempered parameters (one summand per sign choice on the inverted pairs),
 and the signed sum, projected to the support of the ladder class, is the
-class itself.  A parallel expansion over the full symmetric group handles
-the general-linear case.
+class itself.  One walk per block (:func:`_block_walk`) lists the
+permutations with their signs and summand keys, and every other enumeration
+reads it.  A parallel expansion over the full symmetric group handles the
+general-linear case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CuspidalLabel,
@@ -30,7 +33,6 @@ from .core import (
     ZeroRep,
     check_module_key,
     factor_key,
-    is_zero,
     middle_keys,
     piece_keys,
     terms_of_keys,
@@ -90,23 +92,6 @@ def _zones(
             yield zone_a, zone_b, tuple(i for i in rest if i not in zone_b)
 
 
-def _block_perms(block: DatumBlock) -> list[tuple[int, ...]]:
-    return [a + b + tail for a, b, c in _zones(block) for tail in itertools.permutations(c)]
-
-
-def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
-    """All admissible permutation tuples, in lexicographic order.
-
-    ``itertools`` yields combinations, permutations of a sorted pool and
-    products in lexicographic order, so no sort is needed.
-    """
-    per_block = [[(perm, permutation_sign(perm)) for perm in _block_perms(b)] for b in d.blocks]
-    return [
-        SigmaElement(tuple(perm for perm, _ in combo), math.prod(sign for _, sign in combo))
-        for combo in itertools.product(*per_block)
-    ]
-
-
 # One pair's share: None for a zero Steinberg factor; a tuple of segment keys,
 # empty for a unit factor; or, for an inverted pair, a list of its piece keys
 # under each sign choice, +1 before -1.
@@ -132,60 +117,33 @@ def _pair_share(xs: Sequence[int], rid: str, low: int, high: int) -> _PairShare:
     return [piece_keys(rid, ((a1, sign), (a2, sign))) for sign in (1, -1)]
 
 
-def assemble_i_sigma(
-    d: LadderDatum, sigma: SigmaElement
-) -> list[StandardModule | ZeroRep]:
-    """The direct-sum summands contributed by one permutation tuple.
-
-    Summands are listed over sign choices on the inverted pairs, +1 before
-    -1 per pair, pairs ordered by block then pair index; convention-killed
-    summands appear as the zero sentinel.  Every pair is read, each
-    summand's key passes :func:`check_module_key`, and its module is built
-    from the key.
-    """
-    segments: list[_PairShare] = []  # per kept pair
-    choices: list[list] = []  # per inverted pair and middle zone, the keys of each choice
-    for block, perm in zip(d.blocks, sigma.perms):
-        t, l, rid = block.t, block.l, block.rho.id
-        xs = [x.twice for x in block.exponents]
-        for j in range(l):
-            share = _pair_share(xs, rid, perm[j], perm[t - 1 - j])
-            (choices if isinstance(share, list) else segments).append(share)
-        choices.append([middle_keys(xs, rid, block.eta, perm[l : t - l])])
-    killed = None in segments
-    seg_keys = () if killed else tuple(sorted(itertools.chain(*segments)))  # type: ignore[arg-type]
-    keys = [
-        None if killed or None in chosen else (seg_keys, tuple(sorted(itertools.chain(*chosen))))
-        for chosen in itertools.product(*choices)
+def _perm_shares(pairs: list[_PairShare], middle: tuple | None) -> list[ModuleKey | None] | None:
+    """One block permutation's shares of its summands, in sign-choice order,
+    from its pairs' shares and its middle zone's piece keys; None where a
+    sign choice leaves the summand out, and None for all when a zero factor
+    or the middle zone does.  A share is a pair (segment keys, piece keys),
+    each sorted, in the form of :meth:`StandardModule.sort_key`."""
+    if middle is None or None in pairs:
+        return None
+    seg_keys = tuple(sorted([key for share in pairs if isinstance(share, tuple) for key in share]))
+    return [
+        None if None in chosen else (seg_keys, tuple(sorted(sum(chosen, middle))))
+        for chosen in itertools.product(*[share for share in pairs if isinstance(share, list)])
     ]
-    labels = {b.rho.id: b.rho for b in d.blocks}
-    for key in keys:
-        if key:
-            check_module_key(d.group, labels, key)
-    built = iter(terms_of_keys(d.group, labels, [(key, 1) for key in keys if key]))
-    return [next(built)[0] if key else ZERO_REP for key in keys]
 
 
-def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
-    """One block's shares of the summands, summed with the permutation signs.
+def _block_walk(block: DatumBlock) -> Iterator[tuple[tuple[int, ...], int, list[ModuleKey]]]:
+    """Each admissible permutation of a block (one-line images, 1-based), in
+    lexicographic order, with its sign and the shares of its surviving
+    summands (:func:`_perm_shares`), in sign-choice order.
 
-    A share is a pair (segment keys, piece keys), each sorted, in the form
-    of :meth:`StandardModule.sort_key`.  The degeneracy conventions apply:
-    a zero Steinberg factor or a size-0 piece of sign -1 leaves the summand
-    out, and unit factors and size-0 pieces of sign +1 are dropped.
-
-    The walk reads a table instead of each permutation.  Permutation
-    ``A + B + tail`` (see :func:`_zones`) pairs ``A[j]`` with
-    ``tail[l-1-j]``, so each (low, high) pair's share is computed once, on
-    first reading, with the killed sign choices dropped, and each middle
-    zone's piece keys once per zone.  A permutation's sign is the sign of
-    ``A + B + C`` times the sign of its tail's rearrangement of C, one of
-    ``l!`` read from a table.  The result equals summing the shares of every
-    permutation of :func:`_block_perms` in turn: same keys, same
-    coefficients (0 included), same first-seen order.
+    Permutation ``A + B + tail`` (see :func:`_zones`) pairs ``A[j]`` with
+    ``tail[l-1-j]``, so each (low, high) pair's share is read from a table,
+    filled with every pair of A x C before the zone's tails, the killed sign
+    choices dropped; each middle zone's piece keys are computed once.  The
+    sign is that of ``A + B + C`` times that of the tail's order of C.
     """
-    l = block.l
-    rid = block.rho.id
+    l, rid = block.l, block.rho.id
     xs = [x.twice for x in block.exponents]
     table: dict[tuple[int, int], _PairShare] = {}
 
@@ -199,47 +157,89 @@ def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
         return table[low, high]
 
     middles: dict[tuple[int, ...], tuple[tuple[str, int, int], ...] | None] = {}
-    tails = list(itertools.permutations(range(1, l + 1)))
-    tail_signs = [permutation_sign(tail) for tail in tails]
-    # the position in C of the high end of each pair j, per tail
-    columns = [tuple(tail[l - 1 - j] - 1 for j in range(l)) for tail in tails]
-    acc: dict[ModuleKey, int] = {}
+    tails = list(itertools.permutations(range(l)))  # positions in C
+    tail_signs = [permutation_sign([i + 1 for i in tail]) for tail in tails]
     for zone_a, zone_b, zone_c in _zones(block):
         # every pair some tail reads, each checked even if a zero factor skips its tail
         rows = [[pair(a, c) for c in zone_c] for a in zone_a]
         if zone_b not in middles:
             middles[zone_b] = middle_keys(xs, rid, block.eta, zone_b)
-        middle = middles[zone_b]
-        if middle is None:
-            continue
-        base = permutation_sign(zone_a + zone_b + zone_c)
-        for column, tail_sign in zip(columns, tail_signs):
-            segments: list[tuple[int, int, str, int]] = []
-            inverted = []
-            for row, c in zip(rows, column):
-                entry = row[c]
-                if entry is None:
-                    break
-                if isinstance(entry, tuple):
-                    segments += entry
-                else:
-                    inverted.append(entry)
-            else:
-                seg_keys = tuple(sorted(segments))
-                sign = base * tail_sign
-                for chosen in itertools.product(*inverted):
-                    key = (seg_keys, tuple(sorted(sum(chosen, middle))))
-                    acc[key] = acc.get(key, 0) + sign
+        head = zone_a + zone_b
+        base = permutation_sign(head + zone_c)
+        for tail, tail_sign in zip(tails, tail_signs):
+            shares = _perm_shares([row[c] for row, c in zip(rows, reversed(tail))], middles[zone_b])
+            yield head + tuple([zone_c[i] for i in tail]), base * tail_sign, shares or []
+
+
+def _block_shares(block: DatumBlock) -> dict[ModuleKey, int]:
+    """One block's shares of the summands (:func:`_block_walk`), summed with
+    the permutation signs, coefficient 0 included, in first-seen order."""
+    acc: dict[ModuleKey, int] = {}
+    for _, sign, shares in _block_walk(block):
+        for key in shares:
+            acc[key] = acc.get(key, 0) + sign
     return acc
 
 
-def _join(key: ModuleKey, share: ModuleKey) -> ModuleKey:
-    """The key of a product of shares over distinct labels.
+def _tuples(d: LadderDatum) -> Iterator[tuple[SigmaElement, list[list[ModuleKey]]]]:
+    """The product of the blocks' walks: each permutation tuple, in
+    lexicographic order, with its blocks' shares."""
+    for combo in itertools.product(*[list(_block_walk(b)) for b in d.blocks]):
+        sigma = SigmaElement(tuple(p for p, _, _ in combo), math.prod(s for _, s, _ in combo))
+        yield sigma, [shares for _, _, shares in combo]
 
-    Every segment and piece key names its label, so the joined key
-    determines the shares it was made from.
-    """
+
+def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
+    """All admissible permutation tuples, in lexicographic order."""
+    return [sigma for sigma, _ in _tuples(d)]
+
+
+def _join(key: ModuleKey, share: ModuleKey) -> ModuleKey:
+    """The key of a product of shares over distinct labels: every segment
+    and piece key names its label, so the key determines its shares."""
     return tuple(sorted(key[0] + share[0])), tuple(sorted(key[1] + share[1]))
+
+
+def _summand_keys(per_block: Iterable[list[ModuleKey | None]]) -> list[ModuleKey | None]:
+    """A permutation tuple's summand keys, over the product of its blocks'
+    sign choices; None where a block's share is."""
+    return [
+        None if None in shares else functools.reduce(_join, shares, ((), ()))
+        for shares in itertools.product(*per_block)
+    ]
+
+
+def _modules(d: LadderDatum, keys: list[ModuleKey]) -> dict[ModuleKey, StandardModule]:
+    """Each distinct key's module, once the key passes
+    :func:`check_module_key`, the keys checked in order."""
+    labels = {b.rho.id: b.rho for b in d.blocks}
+    distinct = list(dict.fromkeys(keys))
+    for key in distinct:
+        check_module_key(d.group, labels, key)
+    built = terms_of_keys(d.group, labels, [(key, 1) for key in distinct])
+    return {key: module for key, (module, _) in zip(distinct, built)}
+
+
+def assemble_i_sigma(d: LadderDatum, sigma: SigmaElement) -> list[StandardModule | ZeroRep]:
+    """The direct-sum summands contributed by one permutation tuple.
+
+    Summands are listed over sign choices on the inverted pairs, +1 before
+    -1 per pair, pairs ordered by block then pair index; convention-killed
+    summands appear as the zero sentinel.  Every pair is read, each block
+    permutation goes through the walk's step (:func:`_perm_shares`), and
+    each module is built from a checked key (:func:`_modules`).
+    """
+    per_block = []
+    for block, perm in zip(d.blocks, sigma.perms):
+        t, l, rid = block.t, block.l, block.rho.id
+        xs = [x.twice for x in block.exponents]
+        pairs = [_pair_share(xs, rid, perm[j], perm[t - 1 - j]) for j in range(l)]
+        shares = _perm_shares(pairs, middle_keys(xs, rid, block.eta, perm[l : t - l]))
+        # a summand left out per sign choice when a zero factor or the middle zone leaves all out
+        per_block.append(shares or [None] * 2 ** sum(isinstance(share, list) for share in pairs))
+    keys = _summand_keys(per_block)
+    modules = _modules(d, [key for key in keys if key])
+    return [modules[key] if key else ZERO_REP for key in keys]
 
 
 @dataclass(frozen=True)
@@ -249,30 +249,26 @@ class TableRow:
 
 
 def sigma_table(d: LadderDatum) -> list[TableRow]:
-    """The expansion as printable rows: permutation, sign, surviving summands."""
+    """The expansion as printable rows: each permutation tuple of the blocks'
+    walks, its sign, and its surviving summands in :func:`assemble_i_sigma`
+    order, each distinct key checked and built once (:func:`_modules`)."""
     validate_datum(d)
-    rows = []
-    for sigma in enumerate_sigma(d):
-        kept = tuple(
-            s for s in assemble_i_sigma(d, sigma) if not is_zero(s)
-        )
-        rows.append(TableRow(sigma, kept))  # type: ignore[arg-type]
-    return rows
+    rows = [(sigma, _summand_keys(shares)) for sigma, shares in _tuples(d)]
+    modules = _modules(d, [key for _, keys in rows for key in keys])
+    return [TableRow(sigma, tuple([modules[key] for key in keys])) for sigma, keys in rows]
 
 
-def determinantal_formula(d: LadderDatum, projected: bool = True) -> GrothendieckElement:
-    """Signed sum of the permutation summands, optionally support-projected.
+def expansion_rows(
+    d: LadderDatum, projected: bool = True
+) -> tuple[int, dict[str, CuspidalLabel], list[tuple[ModuleKey, int]]]:
+    """The signed sum of the permutation summands, optionally
+    support-projected, on keys: the rank, the labels by id, and the sorted
+    kept ``(key, coefficient)`` rows.
 
-    The sum runs over the integer keys of :meth:`StandardModule.sort_key`
-    instead of assembled summands.  The permutation tuples are products of
-    per-block permutations, so the sum is the product of the per-block sums
-    of shares (:func:`_block_shares`, a table walk), starting from the first
-    block's shares.  Every distinct key, coefficient 0 included, passes
-    :func:`check_module_key`.  The nonzero keys are sorted,
-    the projection keeps those whose support is the ladder's (that of the
-    standard key, :func:`standard_key`, through the same memos as the
-    keys), and a module is built only for each key kept.  This equals summing
-    :func:`assemble_i_sigma` over :func:`enumerate_sigma`, then projecting.
+    The sum is the product of the per-block sums of shares
+    (:func:`_block_shares`).  Every distinct key, coefficient 0 included,
+    passes :func:`check_module_key`; the nonzero keys are sorted, and the
+    projection keeps those whose support is that of :func:`standard_key`.
     """
     rank = validate_datum(d)
     terms: dict[ModuleKey, int] = _block_shares(d.blocks[0]) if d.blocks else {((), ()): 1}
@@ -291,6 +287,13 @@ def determinantal_formula(d: LadderDatum, projected: bool = True) -> Grothendiec
 
         support = SupportFilter.for_key(d.group, labels, standard_key(d))
         kept = [(key, c) for key, c in kept if support.keeps(d.group, key)]
+    return rank, labels, kept
+
+
+def determinantal_formula(d: LadderDatum, projected: bool = True) -> GrothendieckElement:
+    """Signed sum of the permutation summands, optionally support-projected:
+    the rows of :func:`expansion_rows`, a module built for each."""
+    rank, labels, kept = expansion_rows(d, projected)
     return GrothendieckElement(rank, terms_of_keys(d.group, labels, kept))
 
 

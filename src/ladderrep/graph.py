@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment
 from .datum import DatumBlock, LadderDatum, canonical_form, check_block, check_total
 from .datum import standard_key, validate_datum
-from .support import SupportMultiset, key_support
+from .support import SupportMultiset, _tail, key_support
 
 Vertex = tuple[HalfInt, int]  # (abscissa, height)
 
@@ -451,12 +451,15 @@ def aubert_dual(d: LadderDatum) -> LadderDatum:
     spans the abscissas [-x_{t-l-i}, x_{l+1+i}].  Each image row is an
     interval, and its right end, a dual exponent, is -a for the least row i
     reaching its height.  Duality fixes supercuspidal data, so the dual
-    block's core is the block's core, of size c and sign eta_core (-1 if
-    empty): with t' dual exponents, l' = (t' - c) // 2 and eta' = eta_core
-    (-1)^(t' - c).  The result is in canonical form, which makes
-    supercuspidal data honest fixed points.
+    block's core is the block's core (the support's, read off the standard
+    key's tempered part), of size c and sign eta_core (-1 if empty): with t'
+    dual exponents, l' = (t' - c) // 2 and eta' = eta_core (-1)^(t' - c).
+    The result is in canonical form, which makes supercuspidal data honest
+    fixed points.
     """
-    cores = {b.rho.id: b for b in supp_ladder(d).core.blocks}  # validates d
+    validate_datum(d)
+    _, core = _tail(d.group, {b.rho.id: b.rho for b in d.blocks}, standard_key(d)[1], {}, {})
+    cores = {b.rho.id: b for b in core.blocks}
     blocks = []
     for b in d.blocks:
         xs, t, l = [x.twice for x in b.exponents], b.t, b.l

@@ -7,10 +7,10 @@ failure (exit 2), distinct from domain validation failures (exit 1).
 
 The ``*_to_json`` builders return plain JSON values.  For the three large
 outputs (expansions, general-linear combinations and Jacquet terms),
-``write_element``, ``write_gl_rows`` and ``write_jacquet_rows`` stream the
-text ``json.dumps(<x>_to_json(...), indent=2, sort_keys=True)`` would give,
-one term at a time, without building the values; the last two write
-straight from the integer rows of the walks, and build no value at all.
+``write_module_rows``, ``write_gl_rows`` and ``write_jacquet_rows`` stream
+the text ``json.dumps(<x>_to_json(...), indent=2, sort_keys=True)`` would
+give, one term at a time, straight from the integer rows of the engine's
+walks: they build no value at all.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .core import (
     GroupKind,
     GrothendieckElement,
     HalfInt,
+    ModuleKey,
     Parity,
     Segment,
     StandardModule,
     TemperedParam,
-    TemperedPiece,
 )
 from .datum import DatumBlock, LadderDatum
 
@@ -251,17 +251,10 @@ def _obj(level: int, fields: Iterable[tuple[str, str]]) -> str:
     return "{" + ",".join(f'{pad}"{key}": {value}' for key, value in fields) + "\n" + "  " * level + "}"
 
 
-def _arr(level: int, items: list[str]) -> str:
-    """An array at indent ``level`` of already rendered items."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    return "[" + ",".join(pad + item for item in items) + "\n" + "  " * level + "]"
-
-
 def _array_parts(head: str, level: int, tail: str) -> tuple[str, str, str, str]:
-    """The text of ``head + _arr(level, items) + tail`` around its items: before
-    the first item, between items, after the last, and the whole for none."""
+    """The text of ``head``, an array at indent ``level`` and ``tail``, around
+    the array's rendered items: before the first item, between items, after
+    the last, and the whole for no item."""
     pad = "\n" + "  " * (level + 1)
     return head + "[" + pad, "," + pad, "\n" + "  " * level + "]" + tail, head + "[]" + tail
 
@@ -332,32 +325,15 @@ class _Writer:
             )
         return text
 
-    def segment(self, seg: Segment, level: int) -> str:
-        return self.segment_of(seg.rho, seg.x.twice, seg.y.twice, level)
-
-    def segments(self, segs: Iterable[Segment], level: int) -> str:
-        return _arr(level, [self.segment(s, level + 1) for s in segs])
-
-    def piece(self, p: TemperedPiece, level: int) -> str:
-        rho = p.rho
-        key = (p.a, p.sign, rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
+    def piece_of(self, rho: CuspidalLabel, a: int, sign: int, level: int) -> str:
+        """A tempered piece of ``rho``, of size ``a`` and sign ``sign``."""
+        key = (a, sign, rho.id, rho.d, rho.parity is Parity.INTEGRAL, level)
         text = self.pieces.get(key)
         if text is None:
             text = self.pieces[key] = _obj(
-                level, (("a", str(p.a)), ("rho", self.label(rho, level + 1)), ("sign", str(p.sign)))
+                level, (("a", str(a)), ("rho", self.label(rho, level + 1)), ("sign", str(sign)))
             )
         return text
-
-    def module(self, m: StandardModule, level: int) -> str:
-        t = m.tempered
-        tempered = _obj(
-            level + 1,
-            (
-                ("group", encode_basestring_ascii(t.group.value)),
-                ("pieces", _arr(level + 2, [self.piece(p, level + 3) for p in t.pieces])),
-            ),
-        )
-        return _obj(level, (("segments", self.segments(m.segments, level + 1)), ("tempered", tempered)))
 
     def block_of(self, rho: CuspidalLabel, xs: Iterable[int], l: int, eta: int, level: int) -> str:
         """``_obj`` on the fields X, eta, l and rho of a block with doubled
@@ -375,9 +351,6 @@ class _Writer:
         parts, middle, suffix = template
         return _fill(parts, [self.half(x) for x in xs]) + str(eta) + middle + str(l) + suffix
 
-    def block(self, b: DatumBlock, level: int) -> str:
-        return self.block_of(b.rho, [x.twice for x in b.exponents], b.l, b.eta, level)
-
     def datum_of(self, group: GroupKind, blocks: list[str], level: int) -> str:
         """``_obj`` on the fields blocks and group, from a template cached per
         group and level, with the rendered blocks (at ``level + 2``) filled in."""
@@ -392,11 +365,32 @@ class _Writer:
         return _fill(template, blocks)
 
 
-def write_element(e: GrothendieckElement, out: TextIO) -> None:
-    """Write ``element_to_json(e)`` as the command line prints it."""
+def write_module_rows(
+    group: GroupKind,
+    rank: int,
+    labels: Mapping[str, CuspidalLabel],
+    rows: Iterable[tuple[ModuleKey, int]],
+    out: TextIO,
+) -> None:
+    """Write ``element_to_json`` of the element of rank ``rank`` whose terms
+    are ``rows`` (:func:`~ladderrep.formula.expansion_rows`, labels by id in
+    ``labels``) as the command line prints it, building no value: the text
+    of each segment and piece is rendered once, and each term fills one
+    template."""
     w = _Writer()
-    terms = (_obj(2, (("coefficient", str(c)), ("module", w.module(m, 3)))) for m, c in e.terms)
-    _write_top(out, f'"rank": {e.rank},\n  ', terms)
+    segments, pieces = _array_parts("", 4, ""), _array_parts("", 5, "")
+    template = (
+        '{\n      "coefficient": %d,\n      "module": {\n        "segments": %s,\n'
+        '        "tempered": {\n          "group": ' + encode_basestring_ascii(group.value)
+        + ',\n          "pieces": %s\n        }\n      }\n    }'
+    )
+
+    def term(key: ModuleKey, c: int) -> str:
+        items = [w.segment_of(labels[rid], x, y, 5) for _, x, rid, y in key[0]]
+        tempered = [w.piece_of(labels[rid], a, -neg, 6) for rid, a, neg in key[1]]
+        return template % (c, _fill(segments, items), _fill(pieces, tempered))
+
+    _write_top(out, f'"rank": {rank},\n  ', (term(key, c) for key, c in rows))
 
 
 def write_gl_rows(rho: CuspidalLabel, rows: Iterable[GLRow], out: TextIO) -> None:
@@ -423,8 +417,10 @@ def write_jacquet_rows(rests: Rests, rows: Iterable[JacquetRow], out: TextIO) ->
     the writer's templates, and each term fills one template."""
     w = _Writer()
     rho, group = rests.rho, rests.group
-    head = [w.block(b, 5) for b in rests.head]
-    tail = [w.block(b, 5) for b in rests.tail]
+    head, tail = (
+        [w.block_of(b.rho, [x.twice for x in b.exponents], b.l, b.eta, 5) for b in blocks]
+        for blocks in (rests.head, rests.tail)
+    )
     data: dict[tuple, str] = {}
     gl = _array_parts("", 3, "")
     template = '{\n      "datum": %s,\n      "gl": %s,\n      "gl_size": %d,\n      "multiplicity": 1\n    }'

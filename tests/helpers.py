@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -38,7 +39,6 @@ from ladderrep import (
     build_graph,
     canonical_form,
     derivative,
-    enumerate_sigma,
     hi,
     is_supercuspidal,
     is_zero,
@@ -47,7 +47,7 @@ from ladderrep import (
     validate_datum,
 )
 from ladderrep.core import sum_coefficients
-from ladderrep.formula import _block_perms, permutation_sign
+from ladderrep.formula import permutation_sign
 from ladderrep.jsonio import _obj, _write_top, _Writer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -166,6 +166,17 @@ def module(group, rho, segs, temp) -> StandardModule:
     result = make_standard_module(segments, TemperedParam(group, pieces))
     assert not is_zero(result)
     return result
+
+
+def a_parameter_datum(
+    group: GroupKind, rho: CuspidalLabel, a: int, b: int, eta: int
+) -> LadderDatum:
+    """The ladder datum ``L(a, b, eta)`` of the A-parameter
+    ``rho ⊠ S_a ⊠ S_b``, not validated: its L-parameter is the sum over
+    ``k < b`` of ``rho |.|^((b-1)/2 - k) ⊠ S_a``, so X is ``(a-b)/2,
+    (a-b)/2 + 1, ..., (a+b)/2 - 1`` (b exponents) with ``l = b // 2``."""
+    exponents = tuple(HalfInt(a - b + 2 * k) for k in range(b))
+    return LadderDatum.of(group, [DatumBlock(rho, exponents, b // 2, eta)])
 
 
 def replace_block(d: LadderDatum, rho_id: str, new: DatumBlock | None) -> LadderDatum:
@@ -667,6 +678,43 @@ def supp_ladder_by_derivatives(d: LadderDatum) -> SupportMultiset:
     return SupportMultiset.of(exponents, current)
 
 
+def block_perms(block: DatumBlock) -> list[tuple[int, ...]]:
+    """A block's admissible permutations (one-line images, 1-based) in
+    lexicographic order, zone by zone: the paired zone A, the middle zone B
+    and the remaining indices C, each increasing, give the permutations
+    ``A + B + tail`` over the permutations ``tail`` of C.  Strongly negative
+    exponents are confined to A, and the -1/2 exponent of a sign -1 block is
+    barred from B.  The reference for the order of ``formula._block_walk``."""
+    t, l = block.t, block.l
+    indices = range(1, t + 1)
+    confined = {i for i in indices if block.x(i).twice <= -2}
+    barred = set(confined)
+    if block.eta == -1:
+        barred |= {i for i in indices if block.x(i).twice == -1}
+    perms = []
+    for zone_a in itertools.combinations(indices, l):
+        if not confined <= set(zone_a):
+            continue
+        rest = [i for i in indices if i not in zone_a]
+        for zone_b in itertools.combinations(rest, t - 2 * l):
+            if barred & set(zone_b):
+                continue
+            zone_c = [i for i in rest if i not in zone_b]
+            perms += [zone_a + zone_b + tail for tail in itertools.permutations(zone_c)]
+    return perms
+
+
+def reference_sigmas(d: LadderDatum) -> list[SigmaElement]:
+    """The admissible permutation tuples in lexicographic order: the product
+    of the blocks' :func:`block_perms`, each permutation signed by
+    ``permutation_sign``.  The reference for ``enumerate_sigma`` and for the
+    rows of ``sigma_table``."""
+    return [
+        SigmaElement(perms, math.prod(map(permutation_sign, perms)))
+        for perms in itertools.product(*map(block_perms, d.blocks))
+    ]
+
+
 def reference_block_parts(
     block: DatumBlock, perm: tuple[int, ...]
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
@@ -744,7 +792,7 @@ def reference_expansion(d: LadderDatum, projected: bool) -> GrothendieckElement:
     rank = validate_datum(d)
     items = [
         (summand, sigma.sign)
-        for sigma in enumerate_sigma(d)
+        for sigma in reference_sigmas(d)
         for summand in reference_assemble(d, sigma)
         if not is_zero(summand)
     ]
@@ -757,29 +805,37 @@ def reference_expansion(d: LadderDatum, projected: bool) -> GrothendieckElement:
     return element
 
 
-def reference_block_shares(block: DatumBlock) -> dict[tuple, int]:
-    """One block's shares of the summands, summed with the permutation signs.
+def reference_perm_shares(block: DatumBlock, perm: tuple[int, ...]) -> list[tuple]:
+    """One block permutation's shares of its surviving summands, in
+    sign-choice order, read by :func:`reference_block_parts`.
 
     A share is a pair (segment keys, piece keys), each sorted, in the form
     of :meth:`StandardModule.sort_key`.  The degeneracy conventions apply:
     a zero Steinberg factor or a size-0 piece of sign -1 leaves the summand
     out, and unit factors and size-0 pieces of sign +1 are dropped.  The
-    reference for ``formula._block_shares``: each permutation is read in
-    turn by :func:`reference_block_parts`.
+    reference for the shares ``formula._block_walk`` yields.
     """
     rid = block.rho.id
+    segments, pairs, fixed = reference_block_parts(block, perm)
+    if any(y > x + 2 for x, y in segments):
+        return []
+    seg_keys = tuple(sorted([(x + y, x, rid, y) for x, y in segments if y <= x]))
+    return [
+        (seg_keys, tuple(sorted([(rid, a, -s) for a, s in pieces if a])))
+        for pieces in reference_sign_choices(pairs, fixed)
+        if (0, -1) not in pieces
+    ]
 
-    def shares(perm: tuple[int, ...]) -> Iterator[tuple[tuple, int]]:
-        segments, pairs, fixed = reference_block_parts(block, perm)
-        if any(y > x + 2 for x, y in segments):
-            return
-        sign = permutation_sign(perm)
-        seg_keys = tuple(sorted([(x + y, x, rid, y) for x, y in segments if y <= x]))
-        for pieces in reference_sign_choices(pairs, fixed):
-            if (0, -1) not in pieces:
-                yield (seg_keys, tuple(sorted([(rid, a, -s) for a, s in pieces if a]))), sign
 
-    return sum_coefficients(item for perm in _block_perms(block) for item in shares(perm))
+def reference_block_shares(block: DatumBlock) -> dict[tuple, int]:
+    """One block's shares of the summands (:func:`reference_perm_shares`),
+    summed with the permutation signs over :func:`block_perms`: the
+    reference for ``formula._block_shares``."""
+    return sum_coefficients(
+        (share, permutation_sign(perm))
+        for perm in block_perms(block)
+        for share in reference_perm_shares(block, perm)
+    )
 
 
 def gl_combination_from_items(items: Iterable[tuple[tuple[Segment, ...], int]]) -> GLCombination:
@@ -917,12 +973,55 @@ def reference_jacquet_expansion(
 
 # ---------------------------------------------------------------------------
 # object writers: the byte-identity reference for the command line's row
-# writers (``jsonio.write_gl_rows`` and ``jsonio.write_jacquet_rows``)
+# writers (``jsonio.write_module_rows``, ``jsonio.write_gl_rows`` and
+# ``jsonio.write_jacquet_rows``)
+
+
+def _arr(level: int, items: list[str]) -> str:
+    """An array at indent ``level`` of already rendered items."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + ",".join(pad + item for item in items) + "\n" + "  " * level + "]"
+
+
+class ObjectWriter(_Writer):
+    """The row writers' cached texts, read off engine values."""
+
+    def segment(self, seg: Segment, level: int) -> str:
+        return self.segment_of(seg.rho, seg.x.twice, seg.y.twice, level)
+
+    def segments(self, segs: Iterable[Segment], level: int) -> str:
+        return _arr(level, [self.segment(s, level + 1) for s in segs])
+
+    def piece(self, p: TemperedPiece, level: int) -> str:
+        return self.piece_of(p.rho, p.a, p.sign, level)
+
+    def module(self, m: StandardModule, level: int) -> str:
+        t = m.tempered
+        tempered = _obj(
+            level + 1,
+            (
+                ("group", json.dumps(t.group.value)),
+                ("pieces", _arr(level + 2, [self.piece(p, level + 3) for p in t.pieces])),
+            ),
+        )
+        return _obj(level, (("segments", self.segments(m.segments, level + 1)), ("tempered", tempered)))
+
+    def block(self, b: DatumBlock, level: int) -> str:
+        return self.block_of(b.rho, [x.twice for x in b.exponents], b.l, b.eta, level)
+
+
+def write_element(e: GrothendieckElement, out: TextIO) -> None:
+    """Write ``element_to_json(e)`` as the command line prints it."""
+    w = ObjectWriter()
+    terms = (_obj(2, (("coefficient", str(c)), ("module", w.module(m, 3)))) for m, c in e.terms)
+    _write_top(out, f'"rank": {e.rank},\n  ', terms)
 
 
 def write_gl_combination(c: GLCombination, out: TextIO) -> None:
     """Write ``gl_combination_to_json(c)`` as the command line prints it."""
-    w = _Writer()
+    w = ObjectWriter()
     terms = (
         _obj(2, (("coefficient", str(coeff)), ("product", w.segments(product, 3))))
         for product, coeff in c.terms
@@ -932,7 +1031,7 @@ def write_gl_combination(c: GLCombination, out: TextIO) -> None:
 
 def write_jacquet_terms(terms: Iterable[JacquetTerm], out: TextIO) -> None:
     """Write ``{"terms": [jacquet_term_to_json(t) for t in terms]}`` as the command line prints it."""
-    w = _Writer()
+    w = ObjectWriter()
     texts = (
         _obj(
             2,

@@ -17,7 +17,6 @@ from ladderrep import (
     enumerate_sigma,
     gl_determinantal_formula,
     graph_to_datum,
-    hi,
     is_supercuspidal,
     is_zero,
     jacquet_expansion,

@@ -1,9 +1,16 @@
 """Duality on ladder data: worked examples, involution, fixed points, and
 its commuting with Jacquet modules."""
 
+import itertools
 from collections import Counter
 
 from ladderrep import (
+    CuspidalLabel,
+    DatumValidationError,
+    GroupKind,
+    LadderDatum,
+    Parity,
+    SupportMultiset,
     aubert_dual,
     canonical_form,
     is_canonical,
@@ -15,7 +22,7 @@ from ladderrep import (
 )
 from ladderrep.render import render_module
 
-from helpers import golden_data, golden_datum, mw_dual, unipotent
+from helpers import a_parameter_datum, golden_data, golden_datum, mw_dual, unipotent
 
 
 def test_worked_dual():
@@ -91,6 +98,67 @@ def test_supports_swap_coherently(corpus):
         mine = {rho.id: sorted(v.twice for v in values) for rho, values in s.exponents}
         theirs = {rho.id: sorted(v.twice for v in values) for rho, values in s_dual.exponents}
         assert mine == theirs
+
+
+def test_dual_builds_no_support(corpus, small_data, monkeypatch):
+    # the cores are read off the standard key's tempered part; the support's
+    # exponents are never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support built for the dual")
+
+    monkeypatch.setattr(SupportMultiset, "of", refuse)
+    for d in corpus + small_data:
+        aubert_dual(d)
+
+
+# ---------------------------------------------------------------------------
+# irreducible A-parameters: duality swaps the two SL(2)'s
+
+
+def _a_label(rid: str, d: int, a: int, b: int) -> CuspidalLabel:
+    """The label of ``rho ⊠ S_a ⊠ S_b``, whose exponents are whole when a - b is even."""
+    return CuspidalLabel(rid, d, Parity.INTEGRAL if (a - b) % 2 == 0 else Parity.HALF_INTEGRAL)
+
+
+def _irreducible(rho: CuspidalLabel, a: int, b: int) -> LadderDatum:
+    """``L(a, b, eta)`` for the one group and sign that make it valid."""
+    valid = []
+    for group, eta in itertools.product(GroupKind, (1, -1)):
+        d = a_parameter_datum(group, rho, a, b, eta)
+        try:
+            validate_datum(d)
+        except DatumValidationError:
+            continue
+        valid.append(d)
+    [d] = valid
+    return d
+
+
+def test_dual_swaps_the_sl2s_of_an_irreducible_a_parameter():
+    # the Aubert involution maps the packet of rho ⊠ S_a ⊠ S_b to that of
+    # rho ⊠ S_b ⊠ S_a (Mœglin; Xu, Canad. J. Math. 69 (2017)), and on ladder
+    # data the prediction is never ambiguous: one sign is valid on each side
+    moved = 0
+    for d, a, b in itertools.product((1, 2), range(1, 10), range(1, 10)):
+        rho = _a_label("r", d, a, b)
+        source = _irreducible(rho, a, b)
+        assert aubert_dual(source) == canonical_form(_irreducible(rho, b, a)), (d, a, b)
+        moved += aubert_dual(source) != source
+    assert moved > 100  # not a fixed-point check
+
+
+def test_dual_swaps_the_sl2s_label_by_label():
+    # two labels, each carrying an irreducible A-parameter of sign +1, so
+    # that the global sign holds: the dual is the two labels' duals
+    groups = {0: GroupKind.SO_ODD, 1: GroupKind.SP}
+    sizes = list(itertools.product(range(1, 6), repeat=2))
+    for (a1, b1), (a2, b2) in itertools.product(sizes, repeat=2):
+        p, q = _a_label("p", 1, a1, b1), _a_label("q", 2, a2, b2)
+        group = groups[(a1 * b1 + 2 * a2 * b2) % 2]
+        source = LadderDatum.of(group, _irreducible(p, a1, b1).blocks + _irreducible(q, a2, b2).blocks)
+        dual = LadderDatum.of(group, _irreducible(p, b1, a1).blocks + _irreducible(q, b2, a2).blocks)
+        validate_datum(source)
+        assert aubert_dual(source) == canonical_form(dual), source
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,20 @@ import sys
 
 import pytest
 
-from ladderrep import TableRow, cli, enumerate_sigma, is_zero, jsonio
+from ladderrep import (
+    Segment,
+    StandardModule,
+    TableRow,
+    TemperedParam,
+    TemperedPiece,
+    cli,
+    is_zero,
+    jsonio,
+)
 from ladderrep.cli import main
 from ladderrep.render import render_table
 
-from helpers import golden_data, golden_datum, reference_assemble
+from helpers import golden_data, golden_datum, reference_assemble, reference_sigmas
 
 DATUM = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": 1}
 BAD_ETA = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": -1}
@@ -275,19 +284,51 @@ def test_det_formula_table_and_text(capsys):
     assert "Δ[0,-2]⋊π(1^+)" in out
 
 
-def test_det_formula_table_matches_reference_rows(capsys, corpus):
+def test_det_formula_table_matches_reference_rows(capsys, corpus, small_data):
     # the table prints every permutation tuple's surviving summands, as the
-    # object-level reference assembles them
+    # object-level reference assembles them, over the reference's tuples
     golden = [golden_datum(data) for data in golden_data()]
-    for d in golden + corpus[::12]:
+    two_blocks = empty_rows = 0
+    for d in golden + corpus[::12] + small_data:
         rows = [
             TableRow(sigma, tuple(m for m in reference_assemble(d, sigma) if not is_zero(m)))
-            for sigma in enumerate_sigma(d)
+            for sigma in reference_sigmas(d)
         ]
         datum = json.dumps(jsonio.datum_to_json(d))
         code, out, err = run_cli(capsys, "det-formula", datum, "--format", "table")
         assert code == 0, err
         assert out == render_table(rows) + "\n"
+        two_blocks += len(d.blocks) == 2
+        empty_rows += sum(not row.summands for row in rows)
+    assert two_blocks and empty_rows
+
+
+def test_det_formula_of_empty_data(capsys):
+    # the empty SOodd datum has one empty tuple, whose summand is the trivial
+    # module; the empty Sp datum has dimension 0, of the wrong parity for Sp
+    empty = json.dumps({"group": "SOodd", "blocks": []})
+    code, out, err = run_cli(capsys, "det-formula", empty, "--format", "table")
+    assert (code, out, err) == (0, "sigma | sign | summands\n | +1 | 1\n", "")
+    code, out, _ = run_cli(capsys, "det-formula", empty)
+    trivial = {"segments": [], "tempered": {"group": "SOodd", "pieces": []}}
+    assert (code, json.loads(out)) == (0, {"rank": 0, "terms": [{"coefficient": 1, "module": trivial}]})
+    message = "error: [dimension]: total dimension 0 has the wrong parity for Sp\n"
+    for flags in ([], ["--raw"], ["--format", "text"], ["--format", "table"]):
+        got = run_cli(capsys, "det-formula", json.dumps({"group": "Sp", "blocks": []}), *flags)
+        assert got == (1, "", message), flags
+
+
+@pytest.mark.parametrize("flags", [[], ["--raw"]], ids=["projected", "raw"])
+def test_det_formula_json_builds_no_module(capsys, monkeypatch, corpus, flags):
+    # the JSON is written from the expansion's key rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine value built on the JSON path")
+
+    for cls in (StandardModule, Segment, TemperedParam, TemperedPiece):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for datum in [jsonio.datum_to_json(d) for d in corpus[::6]] + [TWO_BLOCKS]:
+        code, out, err = run_cli(capsys, "det-formula", json.dumps(datum), *flags)
+        assert code == 0 and json.loads(out)["terms"], err
 
 
 def test_det_formula_raw_flag(capsys):

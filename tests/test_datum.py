@@ -21,7 +21,6 @@ from ladderrep.jsonio import datum_from_json, datum_to_json
 from ladderrep.render import render_module
 
 from helpers import (
-    HALF_LABEL,
     INT_LABEL,
     build_corpus,
     module,

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ladderrep import (
+    CuspidalLabel,
     DatumBlock,
     GLLadder,
     GroupKind,
@@ -27,14 +28,17 @@ from ladderrep import (
     gl_determinantal_formula,
     hi,
     is_zero,
+    sigma_table,
     standard_module_of,
     validate_datum,
 )
-from ladderrep.formula import _block_perms, _block_shares, gl_rows, permutation_sign
+from ladderrep import formula as formula_module
+from ladderrep.formula import _block_shares, _block_walk, gl_rows, permutation_sign
 
 from helpers import (
     HALF_LABEL,
     INT_LABEL,
+    block_perms,
     gl_combination_from_items,
     golden_data,
     golden_datum,
@@ -46,6 +50,7 @@ from helpers import (
     reference_expansion,
     reference_gl_expansion,
     reference_minimal_vertices,
+    reference_perm_shares,
     sign_condition_holds,
     steinberg_product,
     unipotent,
@@ -252,6 +257,57 @@ def test_block_shares_matches_reference(corpus, small_corpus, small_data):
         assert list(_block_shares(block).items()) == list(reference_block_shares(block).items())
 
 
+def test_block_walk_matches_reference(corpus, small_data):
+    # each permutation in the reference order, with its sign and the shares
+    # of its surviving summands in sign-choice order
+    golden = [golden_datum(data) for data in golden_data()]
+    empty = 0
+    for d in corpus + small_data + golden:
+        for block in d.blocks:
+            walked = list(_block_walk(block))
+            perms = block_perms(block)
+            assert [perm for perm, _, _ in walked] == perms
+            assert [sign for _, sign, _ in walked] == [permutation_sign(perm) for perm in perms]
+            assert [shares for _, _, shares in walked] == [
+                reference_perm_shares(block, perm) for perm in perms
+            ]
+            empty += sum(not shares for _, _, shares in walked)
+    assert empty > 0
+
+
+def test_sigma_table_checks_and_builds_each_distinct_key_once(monkeypatch):
+    # the summands repeat across rows; each distinct key is checked once, in
+    # row order, and its module built once
+    checked, built = [], []
+    check = formula_module.check_module_key
+    init = StandardModule.__init__
+
+    def counting_check(group, labels, key, rank=None):
+        checked.append(key)
+        return check(group, labels, key, rank)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(formula_module, "check_module_key", counting_check)
+    monkeypatch.setattr(StandardModule, "__init__", counting_init)
+    two_blocks = LadderDatum.of(
+        GroupKind.SP,
+        [
+            _block(CuspidalLabel("a", 1, Parity.INTEGRAL), ["0", "1", "2"], 1, 1),
+            _block(CuspidalLabel("b", 2, Parity.HALF_INTEGRAL), ["1/2", "3/2", "5/2"], 1, 1),
+        ],
+    )
+    for d in (unipotent(range(6), 1, 1), two_blocks):
+        checked.clear()
+        built.clear()
+        keys = [m.sort_key() for row in sigma_table(d) for m in row.summands]
+        assert len(set(keys)) < len(keys)
+        assert checked == list(dict.fromkeys(keys))
+        assert len(built) == len(checked)
+
+
 def test_negative_piece_size_asserts_under_a_zero_factor():
     # no valid datum reaches a negative piece size; on this block every
     # permutation has a zero factor in its first pair, and the pair (3, 2)
@@ -264,7 +320,7 @@ def test_negative_piece_size_asserts_under_a_zero_factor():
     # the reference part reader does
     d = LadderDatum.of(GroupKind.SP, [block])
     asserted = 0
-    for perm in _block_perms(block):
+    for perm in block_perms(block):
         try:
             reference_block_parts(block, perm)
         except AssertionError:

@@ -28,7 +28,6 @@ from ladderrep import graph as graph_module
 from ladderrep.render import ascii_graph, dot_graph
 
 from helpers import (
-    HALF_LABEL,
     INT_LABEL,
     assert_has_vertex_matches_vertices,
     golden_data,

@@ -1,7 +1,7 @@
-"""Every module of the package uses each name it imports (a stdlib ``ast``
-check, since no linter is a dependency), and the package's public names
-resolve lazily, so that importing the command line imports no engine
-module."""
+"""Every module of the package and of its tests uses each name it imports
+(a stdlib ``ast`` check, since no linter is a dependency), and the
+package's public names resolve lazily, so that importing the command line
+imports no engine module."""
 
 import ast
 import importlib
@@ -17,6 +17,7 @@ import ladderrep
 MODULES = sorted(
     path for path in Path(ladderrep.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _names(tree: ast.AST) -> set[str]:
@@ -64,7 +65,11 @@ def test_checker_flags_only_unused_names():
     assert unused_imports(source) == ["Sequence", "ZeroRep", "re"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=[path.stem for path in MODULES] + [f"tests.{path.stem}" for path in TEST_MODULES],
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

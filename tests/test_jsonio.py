@@ -21,7 +21,7 @@ from ladderrep import (
 )
 from ladderrep import jsonio
 from ladderrep.cli import main
-from ladderrep.formula import gl_rows
+from ladderrep.formula import expansion_rows, gl_rows
 from ladderrep.graph import jacquet_rows
 
 from helpers import (
@@ -33,6 +33,7 @@ from helpers import (
     golden_datum,
     load_golden,
     reference_jacquet_expansion,
+    write_element,
     write_gl_combination,
     write_jacquet_terms,
 )
@@ -54,11 +55,22 @@ def _data(corpus):
     return list(corpus) + small + golden + [ESCAPED_DATUM]
 
 
-def _elements(corpus):
+def _expansions(corpus):
+    """Each expansion, projected and raw, as the arguments of its row writer
+    and as its element."""
     for d in _data(corpus):
         for projected in (True, False):
-            yield determinantal_formula(d, projected)
-    yield GrothendieckElement(4, ())
+            yield (d.group, *expansion_rows(d, projected)), determinantal_formula(d, projected)
+    yield (GroupKind.SP, 4, {}, []), GrothendieckElement(4, ())
+
+
+def _write_expansion(value, out) -> None:
+    """The command line's row writer, which prints what the object writer prints."""
+    rows, element = value
+    jsonio.write_module_rows(*rows, out)
+    reference = io.StringIO()
+    write_element(element, reference)
+    assert out.getvalue() == reference.getvalue()
 
 
 def _gl_ladders():
@@ -88,7 +100,7 @@ def _jacquet_term_lists(corpus):
 
 
 OUTPUTS = {
-    "det-formula": (jsonio.write_element, jsonio.element_to_json, _elements),
+    "det-formula": (_write_expansion, lambda value: jsonio.element_to_json(value[1]), _expansions),
     "gl-det-formula": (
         write_gl_combination,
         jsonio.gl_combination_to_json,
