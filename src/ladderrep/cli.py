@@ -175,15 +175,17 @@ def cmd_aubert(args: argparse.Namespace) -> None:
 def cmd_det_formula(args: argparse.Namespace) -> None:
     from .formula import determinantal_formula, expansion_rows, sigma_table
     from .jsonio import write_module_rows
-    from . import render
 
     d = _load_datum(args.input)
+    if args.format == "json":
+        write_module_rows(d.group, *expansion_rows(d, projected=not args.raw), sys.stdout)
+        return
+    from . import render  # only the text forms load it
+
     if args.format == "table":
         sys.stdout.write(render.render_table(sigma_table(d)) + "\n")
-    elif args.format == "text":
-        sys.stdout.write(render.render_element(determinantal_formula(d, projected=not args.raw)) + "\n")
     else:
-        write_module_rows(d.group, *expansion_rows(d, projected=not args.raw), sys.stdout)
+        sys.stdout.write(render.render_element(determinantal_formula(d, projected=not args.raw)) + "\n")
 
 
 def cmd_gl_det_formula(args: argparse.Namespace) -> None:

@@ -4,7 +4,8 @@ Half-integers are stored as doubled integers, cuspidal labels are formal
 symbols carrying a block size and a parity class, and representations never
 appear as anything richer than the symbols below: segments, Steinberg
 factors with their degeneracy conventions, tempered parameters, standard
-modules, and integer combinations of standard modules.
+modules, and integer combinations of standard modules; segments are keyed
+in :func:`factor_key` form and built once per key by :class:`Segments`.
 
 All values are immutable and hashable, and every operation is a pure
 function.  The zero representation is the absorbing sentinel ``ZERO_REP``,
@@ -220,6 +221,18 @@ def factor_key(rid: str, x: int, y: int) -> tuple[tuple[int, int, str, int], ...
     return ((x + y, x, rid, y),) if y <= x else ()
 
 
+class Segments(dict):
+    """The segment of each :func:`factor_key` key, its label looked up by id
+    in ``labels``, built on first lookup: equal keys share one segment."""
+
+    def __init__(self, labels: Mapping[str, CuspidalLabel]) -> None:
+        self.labels = labels
+
+    def __missing__(self, key: tuple[int, int, str, int]) -> Segment:
+        segment = self[key] = Segment(self.labels[key[2]], HalfInt(key[1]), HalfInt(key[3]))
+        return segment
+
+
 # ---------------------------------------------------------------------------
 # tempered parameters
 
@@ -430,16 +443,13 @@ def terms_of_keys(
     """Each key's module, built directly since the key passed
     :func:`check_module_key`, with its coefficient.
 
-    Equal segment keys share one segment, and equal piece keys one tempered
-    parameter.
+    Equal segment keys share one segment (:class:`Segments`), and equal
+    piece keys one tempered parameter.
     """
-    segments: dict[tuple[int, int, str, int], Segment] = {}
+    segments = Segments(labels)
     tempered: dict[tuple[tuple[str, int, int], ...], TemperedParam] = {}
     terms = []
     for (seg_keys, tempered_keys), c in items:
-        for k in seg_keys:
-            if k not in segments:
-                segments[k] = Segment(labels[k[2]], HalfInt(k[1]), HalfInt(k[3]))
         if tempered_keys not in tempered:
             tempered[tempered_keys] = TemperedParam(
                 group, tuple(TemperedPiece(labels[rid], a, -neg) for rid, a, neg in tempered_keys)

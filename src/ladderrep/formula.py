@@ -28,6 +28,7 @@ from .core import (
     LadderError,
     ModuleKey,
     Segment,
+    Segments,
     StandardModule,
     ZERO_REP,
     ZeroRep,
@@ -190,7 +191,9 @@ def _tuples(d: LadderDatum) -> Iterator[tuple[SigmaElement, list[list[ModuleKey]
 
 
 def enumerate_sigma(d: LadderDatum) -> list[SigmaElement]:
-    """All admissible permutation tuples, in lexicographic order."""
+    """All admissible permutation tuples, in lexicographic order; ``d`` is
+    validated first."""
+    validate_datum(d)
     return [sigma for sigma, _ in _tuples(d)]
 
 
@@ -388,12 +391,7 @@ def gl_rows(g: GLLadder) -> list[GLRow]:
 
 def gl_determinantal_formula(g: GLLadder) -> GLCombination:
     """Alternating sum over the permutations of the lower endpoints: the
-    terms of :func:`gl_rows`, each segment built once."""
-    segments: dict[tuple[int, int, str, int], Segment] = {}
-    terms = []
-    for product, c in gl_rows(g):
-        for key in product:
-            if key not in segments:
-                segments[key] = Segment(g.rho, HalfInt(key[1]), HalfInt(key[3]))
-        terms.append((tuple([segments[key] for key in product]), c))
+    terms of :func:`gl_rows`, each segment built once (:class:`Segments`)."""
+    segments = Segments({g.rho.id: g.rho})
+    terms = [(tuple([segments[key] for key in product]), c) for product, c in gl_rows(g)]
     return GLCombination(tuple(terms))

@@ -6,10 +6,11 @@ for the pair (x_j, x_{t-j+1}) running from x_j on the right down to
 between consecutive rows, and a central band of rows carries alternating
 +/- colors; everything outside the band is uncolored.  The supercuspidal
 core is the colored part.  The support (the uncolored abscissas and the
-core) and duality (the reflection of the grid through the line swap x+y
-<-> y) are read off the exponents, so only the renderings and the round
-trip build graphs.  The full Jacquet expansion enumerates admissible
-exponent drops, and a derivative is the rest of a single-step drop.
+core, by :class:`~ladderrep.support.Supports`) and duality (the reflection
+of the grid through x+y <-> y) are read off the exponents, so only the
+renderings and the round trip build graphs.  The Jacquet expansion walks
+the admissible exponent drops, its segments keyed as in module keys, and
+a derivative is the rest of a single-step drop.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment
+from .core import CuspidalLabel, HalfInt, LadderError, Parity, Segment, Segments
 from .datum import DatumBlock, LadderDatum, canonical_form, check_block, check_total
 from .datum import standard_key, validate_datum
-from .support import SupportMultiset, _tail, key_support
+from .support import SupportMultiset, Supports
 
 Vertex = tuple[HalfInt, int]  # (abscissa, height)
 
@@ -217,11 +218,10 @@ def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     exponent of the label, and when the label is absent from the datum.
     The datum is validated first in every case.
     """
+    validate_datum(d)
     if not d.has_block(rho_id):
-        validate_datum(d)
         return None
-    rests = Rests(d, rho_id)
-    block = rests.block
+    block = d.block(rho_id)
     ys = [v.twice for v in block.exponents]
     if x.twice not in ys:
         return None
@@ -229,7 +229,7 @@ def derivative(d: LadderDatum, rho_id: str, x: HalfInt) -> LadderDatum | None:
     floor = _drop_floor(block)
     if any(y < floor(ys, i) for i, y in enumerate(ys)):
         return None
-    return rests.datum(_rest_key(ys, block.l, block.eta))
+    return Rests(d, rho_id).datum(_rest_key(ys, block.l, block.eta))
 
 
 def supp_ladder(d: LadderDatum) -> SupportMultiset:
@@ -241,7 +241,7 @@ def supp_ladder(d: LadderDatum) -> SupportMultiset:
     :class:`UnsupportedParameterError`.
     """
     validate_datum(d)
-    return key_support(d.group, {b.rho.id: b.rho for b in d.blocks}, standard_key(d), ({}, {}))
+    return Supports({b.rho.id: b.rho for b in d.blocks}).of_key(d.group, standard_key(d))
 
 
 def is_supercuspidal(d: LadderDatum) -> bool:
@@ -322,17 +322,13 @@ class Rests:
     """
 
     def __init__(self, d: LadderDatum, rho_id: str) -> None:
-        checks = d.block_checks
-        sign, dimension = 1, 0
-        for s, n in checks:
-            sign *= s
-            dimension += n
-        check_total(d.group, sign, dimension)
+        n = validate_datum(d)
         self.block = d.block(rho_id)
         pos = d.blocks.index(self.block)
-        # the fold of the other blocks: signs are +-1, so dividing is multiplying
-        self.sign = sign * checks[pos][0]
-        self.dimension = dimension - checks[pos][1]
+        # the other blocks' fold: a valid datum has sign +1 and dimension 2n
+        # plus the group's parity, and signs are +-1, so dividing is multiplying
+        self.sign, dimension = d.block_checks[pos]
+        self.dimension = 2 * n + d.group.dimension_parity - dimension
         self.group = d.group
         self.rho = self.block.rho
         self.head, self.tail = d.blocks[:pos], d.blocks[pos + 1 :]
@@ -364,17 +360,17 @@ class Rests:
 
 
 # One term of a Jacquet expansion on doubled ints: its GL size; its GL
-# segments [x, y] in row order, as (x + y, x, y), their sort keys on one
-# label; and its rest block's key (kept, l, eta).  The GL segments determine
-# the drop, so rows sort as the terms do, and no two rows are equal.
-JacquetRow = tuple[int, tuple[tuple[int, int, int], ...], tuple[tuple[int, ...], int, int]]
+# segments [x, y] in row order, as their keys (x + y, x, label id, y) of
+# :func:`~ladderrep.core.factor_key`; and its rest block's key (kept, l, eta).
+# The GL segments determine the drop, so rows sort as the terms do.
+JacquetRow = tuple[int, tuple[tuple[int, int, str, int], ...], tuple[tuple[int, ...], int, int]]
 
 
 def _jacquet_walk(block: DatumBlock) -> list[JacquetRow]:
     """The admissible drops of a block as rows, unsorted, walked level by
     level: level i holds the admissible choices of ``y_0 .. y_i``, each with
     the steps it drops, doubled."""
-    l, eta, d = block.l, block.eta, block.rho.d
+    l, eta, d, rid = block.l, block.eta, block.rho.d, block.rho.id
     xs = [x.twice for x in block.exponents]
     floor = _drop_floor(block)
     # each level is popped, so that a prefix is freed once extended
@@ -391,7 +387,7 @@ def _jacquet_walk(block: DatumBlock) -> list[JacquetRow]:
         rows.append(
             (
                 d * dropped // 2,  # the GL size, d (sum x - sum y) / 2
-                tuple([(x + y + 2, x, y + 2) for x, y in zip(xs, ys) if y < x]),
+                tuple([(x + y + 2, x, rid, y + 2) for x, y in zip(xs, ys) if y < x]),
                 _rest_key(ys, l, eta),
             )
         )
@@ -425,14 +421,10 @@ def jacquet_expansion(d: LadderDatum, rho_id: str) -> list[JacquetTerm]:
     is 1: the per-drop terms are the merged ones, in the same order.
     """
     rests, rows = jacquet_rows(d, rho_id)
-    rho = rests.rho
-    segments: dict[tuple[int, int, int], Segment] = {}
+    segments = Segments({rho_id: rests.rho})
     data: dict[tuple, LadderDatum] = {}
     terms = []
     for _, keys, rest_key in rows:
-        for key in keys:
-            if key not in segments:
-                segments[key] = Segment(rho, HalfInt(key[1]), HalfInt(key[2]))
         if rest_key not in data:
             data[rest_key] = rests.build(rest_key)
         terms.append(JacquetTerm(tuple([segments[key] for key in keys]), data[rest_key], 1))
@@ -458,7 +450,7 @@ def aubert_dual(d: LadderDatum) -> LadderDatum:
     fixed points.
     """
     validate_datum(d)
-    _, core = _tail(d.group, {b.rho.id: b.rho for b in d.blocks}, standard_key(d)[1], {}, {})
+    _, core = Supports({b.rho.id: b.rho for b in d.blocks}).tail(d.group, standard_key(d)[1])
     cores = {b.rho.id: b for b in core.blocks}
     blocks = []
     for b in d.blocks:

@@ -431,8 +431,8 @@ def write_jacquet_rows(rests: Rests, rows: Iterable[JacquetRow], out: TextIO) ->
         text = data[key] = w.datum_of(group, head + rest + tail, 3)
         return text
 
-    def term(size: int, keys: tuple[tuple[int, int, int], ...], rest_key: tuple) -> str:
-        items = [w.segment_of(rho, key[1], key[2], 4) for key in keys]
+    def term(size: int, keys: tuple[tuple[int, int, str, int], ...], rest_key: tuple) -> str:
+        items = [w.segment_of(rho, key[1], key[3], 4) for key in keys]
         return template % (data.get(rest_key) or datum(rest_key), _fill(gl, items), size)
 
     _write_top(out, "", (term(*row) for row in rows))

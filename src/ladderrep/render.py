@@ -9,11 +9,15 @@ direction follows the precedence order.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import GrothendieckElement, Segment, StandardModule, TemperedParam
 from .datum import DatumBlock, LadderDatum
-from .formula import GLCombination, TableRow
-from .graph import JacquetTerm, LadderGraph
-from .support import SupportMultiset
+
+if TYPE_CHECKING:
+    from .formula import GLCombination, TableRow
+    from .graph import JacquetTerm, LadderGraph
+    from .support import SupportMultiset
 
 
 def _label_prefix(rho_id: str, show: bool) -> str:
@@ -93,14 +97,15 @@ def render_jacquet_term(term: JacquetTerm) -> str:
 
 
 def render_table(rows: list[TableRow]) -> str:
+    texts: dict[int, str] = {}  # by module identity: sigma_table shares one per distinct key
     lines = ["sigma | sign | summands"]
     for row in rows:
         sigma = " ".join("(" + ",".join(map(str, perm)) + ")" for perm in row.sigma.perms)
         sign = "+1" if row.sigma.sign == 1 else "-1"
-        if row.summands:
-            body = " ⊕ ".join(render_module(m) for m in row.summands)
-        else:
-            body = "0"
+        for m in row.summands:
+            if id(m) not in texts:
+                texts[id(m)] = render_module(m)
+        body = " ⊕ ".join([texts[id(m)] for m in row.summands]) or "0"
         lines.append(f"{sigma} | {sign} | {body}")
     return "\n".join(lines)
 

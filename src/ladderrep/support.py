@@ -6,6 +6,7 @@ supercuspidal core, recorded as a ladder datum with no pairing.  Supports of
 discrete-series parameters are computed by a two-rule reduction: a hole rule
 peeling the top exponent of an isolated piece, and a pair rule dissolving an
 adjacent equal-sign pair into a symmetric exponent interval counted twice.
+Supports are computed through :class:`Supports`, which memoizes reductions and cores.
 The reduction is validated against the bundled golden corpus; outside the
 parameters reachable from ladder data it should be treated as
 conjecture-grade.
@@ -117,58 +118,6 @@ def _reduce_label(
     return collected, DatumBlock(rho, tuple(HalfInt(v) for v in xs), 0, signs[0])
 
 
-def _tail(
-    group: GroupKind,
-    labels: Mapping[str, CuspidalLabel],
-    pieces: Iterable[tuple[str, int, int]],
-    reductions: dict,
-    cores: dict,
-) -> tuple[dict[str, list[int]], LadderDatum]:
-    """Support of a multiplicity-free, size-0-free tempered part.
-
-    The pieces are sorted keys ``(label id, size, -sign)``.  Returns the
-    doubled exponents per label id and the validated core, not yet in
-    canonical form.  For as long as the caller keeps them, ``reductions``
-    memoizes :func:`_reduce_label` per (label id, pieces) and ``cores`` the
-    validated core per (group, core blocks).
-    """
-    by_label: dict[str, list[tuple[int, int]]] = {}
-    for rid, a, neg in pieces:
-        if a == 0:
-            raise UnsupportedParameterError("parameter must be normalized (no size-0 pieces)")
-        slot = by_label.setdefault(rid, [])
-        if slot and slot[-1][0] == a - 1:  # equal sizes are adjacent in sorted order
-            raise UnsupportedParameterError(
-                f"label {rid!r}: repeated piece of size {a} is unsupported"
-            )
-        slot.append((a - 1, -neg))
-    exponents: dict[str, list[int]] = {}
-    blocks = []
-    for rid in sorted(by_label):
-        key = (rid, tuple(by_label[rid]))
-        reduced = reductions.get(key)
-        if reduced is None:
-            reduced = reductions[key] = _reduce_label(labels[rid], key[1])
-        collected, core_block = reduced
-        if collected:
-            exponents[rid] = collected
-        if core_block is not None:
-            blocks.append(core_block)
-    key = (group, tuple(blocks))
-    core = cores.get(key)
-    if core is None:
-        core = LadderDatum.of(group, blocks)
-        validate_datum(core)
-        cores[key] = core
-    return exponents, core
-
-
-def supp_discrete_series(t: TemperedParam) -> SupportMultiset:
-    """Support of a multiplicity-free, size-0-free tempered parameter."""
-    labels = {p.rho.id: p.rho for p in t.pieces}
-    return key_support(t.group, labels, ((), t.sort_key()), ({}, {}))
-
-
 def _exponents(
     tail: Mapping[str, list[int]], segments: Iterable[tuple[int, int, str, int]]
 ) -> dict[str, list[int]]:
@@ -183,46 +132,89 @@ def _exponents(
     return {rid: sorted(values) for rid, values in got.items()}
 
 
-def key_support(
-    group: GroupKind, labels: Mapping[str, CuspidalLabel], key: ModuleKey, memos: tuple[dict, dict]
-) -> SupportMultiset:
-    """Support of the module of a key: its tempered part's (:func:`_tail`,
-    with the memos ``reductions, cores``) plus its segments' exponents and
-    their negatives."""
-    tail, core = _tail(group, labels, key[1], *memos)
-    exponents = _exponents(tail, key[0])
-    return SupportMultiset.of({labels[rid]: map(HalfInt, v) for rid, v in exponents.items()}, core)
+class Supports:
+    """Supports of module keys, their labels looked up by id in ``labels``:
+    each label's piece set is reduced (:func:`_reduce_label`), and each
+    distinct core validated, once per object."""
+
+    def __init__(self, labels: Mapping[str, CuspidalLabel]) -> None:
+        self.labels = labels
+        self.reductions: dict[tuple[str, tuple], tuple[list[int], DatumBlock | None]] = {}
+        self.cores: dict[tuple[GroupKind, tuple], LadderDatum] = {}
+
+    def tail(
+        self, group: GroupKind, pieces: Iterable[tuple[str, int, int]]
+    ) -> tuple[dict[str, list[int]], LadderDatum]:
+        """Support of a multiplicity-free, size-0-free tempered part.
+
+        The pieces are sorted keys ``(label id, size, -sign)``.  Returns the
+        doubled exponents per label id and the validated core, not yet in
+        canonical form.
+        """
+        by_label: dict[str, list[tuple[int, int]]] = {}
+        for rid, a, neg in pieces:
+            if a == 0:
+                raise UnsupportedParameterError("parameter must be normalized (no size-0 pieces)")
+            slot = by_label.setdefault(rid, [])
+            if slot and slot[-1][0] == a - 1:  # equal sizes are adjacent in sorted order
+                raise UnsupportedParameterError(
+                    f"label {rid!r}: repeated piece of size {a} is unsupported"
+                )
+            slot.append((a - 1, -neg))
+        exponents: dict[str, list[int]] = {}
+        blocks = []
+        for rid in sorted(by_label):
+            key = (rid, tuple(by_label[rid]))
+            reduced = self.reductions.get(key)
+            if reduced is None:
+                reduced = self.reductions[key] = _reduce_label(self.labels[rid], key[1])
+            collected, core_block = reduced
+            if collected:
+                exponents[rid] = collected
+            if core_block is not None:
+                blocks.append(core_block)
+        key = (group, tuple(blocks))
+        core = self.cores.get(key)
+        if core is None:
+            core = LadderDatum.of(group, blocks)
+            validate_datum(core)
+            self.cores[key] = core
+        return exponents, core
+
+    def of_key(self, group: GroupKind, key: ModuleKey) -> SupportMultiset:
+        """Support of the module of a key: its tempered part's (:meth:`tail`)
+        plus its segments' exponents and their negatives."""
+        tail, core = self.tail(group, key[1])
+        exponents = {self.labels[rid]: map(HalfInt, v) for rid, v in _exponents(tail, key[0]).items()}
+        return SupportMultiset.of(exponents, core)
+
+
+def supp_discrete_series(t: TemperedParam) -> SupportMultiset:
+    """Support of a multiplicity-free, size-0-free tempered parameter."""
+    return Supports({p.rho.id: p.rho for p in t.pieces}).of_key(t.group, ((), t.sort_key()))
 
 
 class SupportFilter:
-    """The test ``support(module) == target`` on module keys, their labels
-    looked up by id in ``labels``.
+    """The test ``support(module) == target`` on module keys, the target
+    held as sorted doubled exponents per label id (:func:`_exponents`) and a
+    canonical core; each distinct tempered part's support is computed once,
+    through ``supports``."""
 
-    A module's support is its tempered part's support plus, per segment
-    ``[x, y]``, the exponents ``x..y`` and their negatives; exponents are
-    compared as sorted doubled integers per label id.  The support of each
-    distinct tempered part, and of each label's piece set, is computed once
-    per filter, and each distinct core is validated once.
-    """
-
-    def __init__(self, target: SupportMultiset, labels: Mapping[str, CuspidalLabel]) -> None:
-        self.core = target.core
-        self.wanted = {rho.id: [v.twice for v in values] for rho, values in target.exponents}
-        self.labels = labels
+    def __init__(self, supports: Supports, wanted: dict[str, list[int]], core: LadderDatum) -> None:
+        self.supports = supports
+        self.wanted = wanted
+        self.core = core
         self.tails: dict[Hashable, dict[str, list[int]] | None] = {}
-        self.reductions: dict = {}
-        self.cores: dict = {}
 
     @staticmethod
     def for_key(
         group: GroupKind, labels: Mapping[str, CuspidalLabel], key: ModuleKey
     ) -> "SupportFilter":
-        """The filter aimed at the support of the module of ``key``
-        (:func:`key_support`), computed through the filter's memos."""
-        memos: tuple[dict, dict] = ({}, {})
-        support = SupportFilter(key_support(group, labels, key, memos), labels)
-        support.reductions, support.cores = memos
-        return support
+        """The filter aimed at the support of the module of ``key``, read on
+        doubled ints through the filter's own :class:`Supports`."""
+        supports = Supports(labels)
+        tail, core = supports.tail(group, key[1])
+        return SupportFilter(supports, _exponents(tail, key[0]), canonical_form(core))
 
     def keeps(self, group: GroupKind, key: ModuleKey) -> bool:
         """Whether the module of ``key`` has the target support.
@@ -232,7 +224,7 @@ class SupportFilter:
         """
         seg_keys, tail_key = key
         if tail_key not in self.tails:
-            exponents, core = _tail(group, self.labels, tail_key, self.reductions, self.cores)
+            exponents, core = self.supports.tail(group, tail_key)
             self.tails[tail_key] = exponents if canonical_form(core) == self.core else None
         tail = self.tails[tail_key]
         return tail is not None and _exponents(tail, seg_keys) == self.wanted
@@ -241,6 +233,7 @@ class SupportFilter:
 def project_ps(target: SupportMultiset, elem: GrothendieckElement) -> GrothendieckElement:
     """Keep exactly the terms whose support equals the target."""
     labels = {x.rho.id: x.rho for m, _ in elem.terms for x in m.segments + m.tempered.pieces}
-    support = SupportFilter(target, labels)
+    wanted = {rho.id: [v.twice for v in values] for rho, values in target.exponents}
+    support = SupportFilter(Supports(labels), wanted, target.core)
     kept = [(m, c) for m, c in elem.terms if support.keeps(m.group, m.sort_key())]
     return GrothendieckElement(elem.rank, tuple(kept))  # a subsequence of sorted, merged terms

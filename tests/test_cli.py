@@ -18,11 +18,13 @@ from ladderrep import (
     cli,
     is_zero,
     jsonio,
+    render,
+    sigma_table,
 )
 from ladderrep.cli import main
 from ladderrep.render import render_table
 
-from helpers import golden_data, golden_datum, reference_assemble, reference_sigmas
+from helpers import golden_data, golden_datum, reference_assemble, reference_sigmas, unipotent
 
 DATUM = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": 1}
 BAD_ETA = {"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": -1}
@@ -301,6 +303,24 @@ def test_det_formula_table_matches_reference_rows(capsys, corpus, small_data):
         two_blocks += len(d.blocks) == 2
         empty_rows += sum(not row.summands for row in rows)
     assert two_blocks and empty_rows
+
+
+def test_render_table_renders_each_distinct_module_once(monkeypatch):
+    # sigma_table shares one module per distinct summand key
+    rendered = []
+    render_module = render.render_module
+
+    def counting(m):
+        rendered.append(m)
+        return render_module(m)
+
+    monkeypatch.setattr(render, "render_module", counting)
+    for d in (unipotent(range(6), 1, 1), jsonio.datum_from_json(TWO_BLOCKS)):
+        rendered.clear()
+        rows = sigma_table(d)
+        modules = [m for row in rows for m in row.summands]
+        render_table(rows)
+        assert len(modules) > len({id(m) for m in modules}) == len(rendered)
 
 
 def test_det_formula_of_empty_data(capsys):

@@ -8,6 +8,7 @@ import pytest
 from ladderrep import (
     CuspidalLabel,
     DatumBlock,
+    DatumValidationError,
     GLLadder,
     GroupKind,
     GrothendieckElement,
@@ -33,7 +34,7 @@ from ladderrep import (
     validate_datum,
 )
 from ladderrep import formula as formula_module
-from ladderrep.formula import _block_shares, _block_walk, gl_rows, permutation_sign
+from ladderrep.formula import _block_shares, _block_walk, expansion_rows, gl_rows, permutation_sign
 
 from helpers import (
     HALF_LABEL,
@@ -328,6 +329,15 @@ def test_negative_piece_size_asserts_under_a_zero_factor():
             with pytest.raises(AssertionError, match="negative piece size"):
                 assemble_i_sigma(d, SigmaElement((perm,), permutation_sign(perm)))
     assert asserted > 0
+
+
+def test_enumerate_sigma_names_the_violated_clause():
+    # the block above is invalid: every enumeration names the clause before
+    # any piece size is read
+    d = LadderDatum.of(GroupKind.SP, [_block(INT_LABEL, ["-3", "0", "-2", "1", "1"], 2, 1)])
+    for enumerate_ in (enumerate_sigma, sigma_table, expansion_rows):
+        with pytest.raises(DatumValidationError, match=r"^\[ordering\]"):
+            enumerate_(d)
 
 
 def test_assembly_matches_reference(corpus, small_corpus, small_data):

@@ -74,6 +74,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names a module imports from another module of the package."""
+    return sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ladderrep"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_import_checker_flags_only_package_names():
+    source = (
+        "from os import _exit\n"
+        "from . import render\n"
+        "from .support import Supports, _tail\n"
+        "from ladderrep.core import _check_piece\n"
+    )
+    assert private_imports(source) == ["ladderrep.core._check_piece", "support._tail"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_private_imports_across_modules(path):
+    # a decision a module keeps private has one home: other modules call its public names
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
 # The names the package exported before it resolved them lazily.
 EXPORTED = {
     "core": [
@@ -112,6 +139,23 @@ def test_cli_import_loads_no_engine_module():
         "print(' '.join(sorted(name for name in sys.modules if name.startswith('ladderrep.'))))\n"
     )
     assert _fresh_python(code).split() == ["ladderrep.cli"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--format", "text"]], ids=["json", "text"])
+def test_det_formula_loads_only_what_it_runs(flags):
+    # the JSON is written from key rows, and the text needs no graph
+    argv = ["det-formula", *flags, '{"group": "Sp", "X": ["0", "1", "2"], "l": 1, "eta": 1}']
+    code = (
+        "import contextlib, io, sys\n"
+        "from ladderrep.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(' '.join(sorted(name for name in sys.modules if name.startswith('ladderrep.'))))\n"
+    )
+    loaded = _fresh_python(code).split()
+    assert "ladderrep.graph" not in loaded
+    assert ("ladderrep.render" in loaded) == bool(flags)
+    assert "ladderrep.support" in loaded  # the projection ran
 
 
 def test_every_exported_name_resolves():

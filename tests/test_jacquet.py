@@ -1,5 +1,7 @@
 """Full Jacquet expansion: worked cases, bookkeeping, semisimplicity mechanism."""
 
+import math
+
 import pytest
 
 from ladderrep import (
@@ -16,7 +18,8 @@ from ladderrep import (
     validate_datum,
 )
 from ladderrep import datum as datum_module
-from ladderrep.graph import _jacquet_walk, Rests
+from ladderrep.core import factor_key
+from ladderrep.graph import _jacquet_walk, jacquet_rows, Rests
 
 from helpers import (
     reference_derivative,
@@ -168,6 +171,32 @@ def test_multiplicities_stay_one(corpus):
             assert len({(t.gl_segments, t.datum) for t in terms}) == len(terms)
             rows = _jacquet_walk(block)
             assert len({row[1] for row in rows}) == len(rows)
+
+
+def test_row_segment_keys_are_factor_keys(corpus):
+    # a row keys each GL segment of its term as a module key does
+    for d in _data(corpus):
+        for block in d.blocks:
+            rid = block.rho.id
+            _, rows = jacquet_rows(d, rid)
+            assert [keys for _, keys, _ in rows] == [
+                tuple(k for s in term.gl_segments for k in factor_key(rid, s.x.twice, s.y.twice))
+                for term in jacquet_expansion(d, rid)
+            ]
+
+
+def test_rests_read_the_other_blocks_off_the_rank(corpus, small_corpus):
+    # the sign and dimension of the other blocks are their fold over the
+    # block checks; two-block data whose blocks carry sign -1 occur
+    negative = 0
+    for d in _data(corpus) + list(small_corpus):
+        for pos, block in enumerate(d.blocks):
+            rests = Rests(d, block.rho.id)
+            others = d.block_checks[:pos] + d.block_checks[pos + 1 :]
+            assert rests.sign == math.prod(sign for sign, _ in others), d
+            assert rests.dimension == sum(dimension for _, dimension in others), d
+            negative += rests.sign == -1
+    assert negative > 0
 
 
 def test_derivative_checks_each_block_once(corpus, monkeypatch):

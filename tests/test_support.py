@@ -10,7 +10,9 @@ from ladderrep import (
     Parity,
     TemperedParam,
     TemperedPiece,
+    SupportMultiset,
     UnsupportedParameterError,
+    aubert_dual,
     determinantal_formula,
     hi,
     project_ps,
@@ -19,6 +21,7 @@ from ladderrep import (
     supp_ladder,
 )
 from ladderrep import support as support_module
+from ladderrep.formula import expansion_rows
 
 from helpers import (
     HALF_LABEL,
@@ -335,3 +338,24 @@ def test_each_distinct_core_validated_once(monkeypatch):
     projected = determinantal_formula(d)
     assert len(projected) > len(cores) > 0
     assert len(set(cores)) == len(cores)
+
+
+def test_supports_build_no_multiset_beyond_the_returned_one(corpus, monkeypatch):
+    # supp_ladder builds the support it returns; the dual and the projection
+    # read supports on doubled ints
+    built = []
+    init = SupportMultiset.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupportMultiset, "__init__", counting_init)
+    for d in corpus[::4]:
+        built.clear()
+        support = supp_ladder(d)
+        assert len(built) == 1 and built[0] is support
+        built.clear()
+        aubert_dual(d)
+        expansion_rows(d)
+        assert built == []
